@@ -2,7 +2,9 @@
 
 Subcommands: simulate-mode, spectrum-scan, identities, certify, predict,
 decay, report.  Exit codes: 0 pass, 1 verification failure (a named
-criterion did not hold), 2 usage or configuration error.  Outputs are
+criterion did not hold), 2 usage or configuration error, 3 numerical
+failure (quadrature, eigensolver or certificate search could not reach
+its tolerance, so no verdict was reached).  Outputs are
 deterministic: a fixed manifest (config + flags + seed) yields
 byte-identical CSV/JSON artifacts.
 """
@@ -282,6 +284,10 @@ def run(manifest: RunManifest) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (fullline.QuadratureError, dynamics.EigensolverError,
+            lyapunov.CertificateSearchError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (model.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

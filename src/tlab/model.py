@@ -156,8 +156,8 @@ class GeneratorMatrices:
     a: np.ndarray  # A(xi) = -(-xi^2 A2 + i xi A1 + A0)
 
 
-def assemble_generator(cfg: SystemConfig, xi: float) -> GeneratorMatrices:
-    """Build A0, A1, A2 and the assembled generator A(xi)."""
+def _generator_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real matrices A0, A1, A2 of A(xi) = xi^2 A2 - i xi A1 - A0."""
     t1, t2, t3 = cfg.tau.indicators
     g = cfg.gamma
     eps0 = cfg.epsilon0
@@ -196,9 +196,38 @@ def assemble_generator(cfg: SystemConfig, xi: float) -> GeneratorMatrices:
 
     a2 = np.zeros((DIM, DIM))
     a2[ETA, ETA] = -eps0 * cfg.k5
+    return a0, a1, a2
 
+
+def assemble_generator(cfg: SystemConfig, xi: float) -> GeneratorMatrices:
+    """Build A0, A1, A2 and the assembled generator A(xi)."""
+    a0, a1, a2 = _generator_coefficients(cfg)
     a = -(-(xi ** 2) * a2 + 1j * xi * a1 + a0)
     return GeneratorMatrices(a0=a0, a1=a1, a2=a2, xi=float(xi), a=a)
+
+
+def generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
+    """A(xi) = xi^2 A2 - i xi A1 - A0 at every frequency, shape (n, 8, 8)."""
+    a0, a1, a2 = _generator_coefficients(cfg)
+    x = np.asarray(xi, dtype=float).reshape(-1, 1, 1)
+    return x ** 2 * a2 - 1j * x * a1 - a0
+
+
+def real_similarity(cfg: SystemConfig) -> np.ndarray:
+    """Diagonal s of a unitary S, entries in {1, i}, with S^-1 A(xi) S real for all xi.
+
+    (S^-1 A S)_kl = A_kl s_l / s_k, so the entries of A0 and A2 need s_l = s_k
+    and those of -i A1 need s_l / s_k = +-i.  The wave pairs and the
+    lamination terms fix the parities of v..theta; the coupled row (u, y or
+    theta) fixes eta, through A1 for first-order coupling and A0 for
+    zero-order coupling, and sigma pairs with eta.
+    """
+    odd = np.zeros(DIM, dtype=int)
+    odd[[U, Z, PHI]] = 1
+    coupled = (U, Y, THETA)[cfg.tau.value - 1]
+    odd[ETA] = odd[coupled] ^ (cfg.coupling is Coupling.FIRST_ORDER)
+    odd[SIGMA] = 1 - odd[ETA]
+    return np.where(odd == 1, 1j, 1.0 + 0j)
 
 
 def hermitian_energy(cfg: SystemConfig) -> HermitianForm:

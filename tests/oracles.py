@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from tlab.model import Coupling, Damping, SystemConfig
 
@@ -70,3 +71,29 @@ def char_poly_det(a: np.ndarray, lam: complex) -> complex:
 
 def quadratic_form(mat: np.ndarray, s: np.ndarray) -> float:
     return float(np.real(s.conj() @ mat @ s))
+
+
+def generator_longhand(cfg: SystemConfig, xi: float) -> np.ndarray:
+    """A(xi) column by column from the componentwise right-hand side."""
+    return np.column_stack([mode_rhs(cfg, xi, e) for e in np.eye(8, dtype=complex)])
+
+
+def plancherel_norms_sq(cfg: SystemConfig, fourier, cutoff: float,
+                        times: list[float], j: int, panels: int) -> list[float]:
+    """(1/pi) int_0^cutoff xi^{2j} |e^{A(xi) t} Uhat0(xi)|^2 dxi at each time.
+
+    Composite 20-point Gauss-Legendre on equal panels, one scipy.linalg.expm
+    per node and time; `fourier` maps a float xi to Uhat0(xi) in C^8.
+    """
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, cutoff, panels + 1)
+    totals = [0.0] * len(times)
+    for lo, hi in zip(edges, edges[1:]):
+        half = 0.5 * (hi - lo)
+        for xk, wk in zip(lo + half * (x + 1.0), half * w):
+            a = generator_longhand(cfg, float(xk))
+            u0 = np.asarray(fourier(float(xk)), dtype=complex)
+            for i, t in enumerate(times):
+                vec = scipy.linalg.expm(a * t) @ u0
+                totals[i] += wk * xk ** (2 * j) * float(np.real(vec.conj() @ vec))
+    return [v / np.pi for v in totals]

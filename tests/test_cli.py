@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tlab import fullline
 from tlab.cli import main
 from tlab.model import config_text
 from tlab.suite import standard_suite, unstable_reference
@@ -49,6 +50,18 @@ class TestExitCodes:
         # certify refuses the non-decaying configuration
         assert main(["certify", "--config", str(unstable_config),
                      "--out", str(tmp_path / "o")] + _fast()) == 1
+
+    def test_numerical_failure_is_exit_three(self, stable_config, tmp_path, monkeypatch,
+                                             capsys):
+        def fail(*args, **kwargs):
+            raise fullline.QuadratureError("error 1e-3 vs value 1e-2 at t=2154.4")
+
+        monkeypatch.setattr(fullline, "decay_series", fail)
+        assert main(["decay", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o")] + _fast()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
 
     def test_spectrum_scan_unstable_exit_zero(self, unstable_config, tmp_path):
         # the scan itself succeeds: instability is expected there, not a failure

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
-from tlab.forms import V
+import oracles
+from tlab import fullline
+from tlab.forms import ETA, V
 from tlab.fullline import (
     Gaussian, GaussianDerivative, InitialDatum, Zero, decay_series,
-    default_times, fit_tail_exponent, sobolev_norm_sq, verify_theorem_bound,
+    default_times, fit_tail_exponent, sobolev_norm_sq, solution_norms_sq,
+    verify_theorem_bound,
 )
 from tlab.model import assemble_generator
 from tlab.suite import standard_suite, unstable_reference
@@ -41,6 +45,22 @@ class TestProfiles:
             2.0, rel=1e-8)
         assert GaussianDerivative(1, 3.0, 0.5).l1_norm() == pytest.approx(
             6.0, rel=1e-8)
+
+    @pytest.mark.parametrize("order,amplitude,width", [(2, 1.0, 1.0), (2, -1.5, 0.7),
+                                                        (3, 1.0, 1.0), (3, 2.0, 1.8)])
+    def test_derivative_l1_higher_orders(self, order, amplitude, width):
+        """Closed-form total variation against a direct integral of |g^(n)|."""
+        def g_n(x: float) -> float:
+            u = x / width
+            herm = np.polynomial.hermite.hermval(u, [0] * order + [1])
+            return amplitude * (-1.0 / width) ** order * herm * math.exp(-u * u)
+
+        kinks = width * np.polynomial.hermite.hermroots([0] * order + [1])
+        reach = 12.0 * width
+        numeric, _ = scipy.integrate.quad(lambda x: abs(g_n(x)), -reach, reach,
+                                          points=kinks, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert GaussianDerivative(order, amplitude, width).l1_norm() == pytest.approx(
+            numeric, rel=1e-10)
 
     def test_zero_profile(self):
         datum = InitialDatum()
@@ -98,6 +118,74 @@ class TestSolutionNorms:
         assert ts[1] == pytest.approx(1.0)
         assert ts[-1] == pytest.approx(100.0)
         assert len(ts) == 12
+
+
+def _mixed_datum() -> InitialDatum:
+    """A real Gaussian in v and a purely imaginary transform in eta."""
+    profiles = [Zero()] * 8
+    profiles[V] = Gaussian(1.0, 1.0)
+    profiles[ETA] = GaussianDerivative(1, 0.5, 1.5)
+    return InitialDatum(profiles=tuple(profiles))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("name", sorted(standard_suite()))
+    def test_matches_expm_oracle(self, name):
+        """Every suite cell, t in {0, 1, 10}, j in {0, 1}: the eigen-propagated
+        adaptive panels against per-node expm on composite Gauss-Legendre."""
+        cfg = standard_suite()[name]
+        datum = _mixed_datum()
+        times = [0.0, 1.0, 10.0]
+        for j in (0, 1):
+            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(j),
+                                                   times, j, panels=32)
+            got = solution_norms_sq(cfg, datum, times, j).values
+            assert got == pytest.approx(expected, rel=1e-8)
+
+    def test_long_time_frictional_zero_completes(self):
+        """tau2-frictional-zero raised QuadratureError near t = 2154."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        result = solution_norms_sq(cfg, datum, [0.0, 464.0, 2154.0], 0)
+        assert result.values[0] > result.values[1] > result.values[2] > 0.0
+        assert np.all(result.errors <= 1e-9 * result.values + 1e-13)
+        assert result.nodes > 0
+
+    def test_expm_fallback_agrees_with_eig_path(self, monkeypatch):
+        """With the conditioning guard forced, every node goes through expm."""
+        times = np.array([0.0, 1.0, 10.0, 100.0])
+        xi = np.concatenate(([0.0], np.logspace(-4, 1.5, 60)))
+        datum = _mixed_datum()
+        cells = dict(standard_suite(), unstable=unstable_reference())
+        eig_path = {name: fullline._mode_norms_sq(cfg, xi, datum.fourier(xi).T, times)
+                    for name, cfg in cells.items()}
+        monkeypatch.setattr(fullline, "EIG_COND_MAX", -1.0)
+        for name, cfg in cells.items():
+            forced = fullline._mode_norms_sq(cfg, xi, datum.fourier(xi).T, times)
+            np.testing.assert_allclose(forced, eig_path[name], rtol=1e-10, atol=1e-14,
+                                       err_msg=name)
+
+        cfg = standard_suite()["tau2-type3-first"]
+        forced_norms = solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values
+        monkeypatch.undo()
+        assert forced_norms == pytest.approx(
+            solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values, rel=1e-10)
+
+    def test_series_matches_single_times(self):
+        cfg = standard_suite()["tau3-type3-zero"]
+        datum = _mixed_datum()
+        times = [0.0, 3.0, 30.0]
+        series = decay_series(cfg, datum, times, 1)
+        for (t, norm), single in zip(series, times):
+            assert t == single
+            assert norm ** 2 == pytest.approx(sobolev_norm_sq(cfg, datum, single, 1), rel=1e-8)
+
+    def test_node_budget_exhaustion_is_a_quadrature_error(self, monkeypatch):
+        monkeypatch.setattr(fullline, "NODE_BUDGET", 2000)
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        with pytest.raises(fullline.QuadratureError):
+            solution_norms_sq(cfg, datum, [2154.0], 0)
 
 
 class TestTailFit:

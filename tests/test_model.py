@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from tlab.model import (
     ConfigError, Coupling, Damping, ModeState, SystemConfig, Tau,
-    assemble_generator, config_text, dissipation_rate, hermitian_energy,
-    parse_config_text,
+    assemble_generator, config_text, dissipation_rate, generator_batch,
+    hermitian_energy, parse_config_text, real_similarity,
 )
 
 from conftest import random_config, random_state
@@ -103,6 +103,27 @@ class TestGenerator:
         gm = assemble_generator(cfg, xi)
         recombined = -(-xi ** 2 * gm.a2 + 1j * xi * gm.a1 + gm.a0)
         assert np.allclose(gm.a, recombined)
+
+    def test_batch_matches_pointwise(self, rng):
+        for _ in range(20):
+            cfg = random_config(rng)
+            xi = np.concatenate(([0.0], rng.uniform(-5.0, 5.0, size=7)))
+            batch = generator_batch(cfg, xi)
+            assert batch.shape == (8, 8, 8)
+            for x, a in zip(xi, batch):
+                assert np.array_equal(a, assemble_generator(cfg, float(x)).a)
+
+    def test_real_similarity(self, rng):
+        """S^-1 A(xi) S is real for every placement, damping and coupling."""
+        for tau in Tau:
+            for damping in Damping:
+                for coupling in Coupling:
+                    cfg = random_config(rng, tau=tau, damping=damping, coupling=coupling)
+                    s = real_similarity(cfg)
+                    assert np.all(np.isin(s, (1.0, 1j)))
+                    a = generator_batch(cfg, rng.uniform(-5.0, 5.0, size=5))
+                    similar = a * s[None, :] / s[:, None]
+                    assert np.all(similar.imag == 0.0)
 
 
 class TestEnergy:
