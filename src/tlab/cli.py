@@ -12,10 +12,8 @@ byte-identical CSV/JSON artifacts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,15 +29,6 @@ SUBCOMMANDS = ("simulate-mode", "spectrum-scan", "identities", "certify",
 def _fmt(x: float) -> str:
     """17 significant digits, enough to round-trip a double exactly."""
     return f"{float(x):.17g}"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("TLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise model.ConfigError(f"TLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -104,25 +93,12 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, manifest: RunManifest,
     return summary
 
 
-def _scan_rows(cfg: model.SystemConfig, grid: np.ndarray, workers: int) -> list[list[float]]:
-    def one(xi: float) -> list[float]:
-        res = dynamics.spectrum(cfg, xi)
-        row = [xi]
-        for lam in res.eigenvalues:
-            row.extend([lam.real, lam.imag])
-        row.append(res.abscissa)
-        return row
-
-    if workers <= 1:
-        return [one(float(xi)) for xi in grid]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, [float(xi) for xi in grid]))
-
-
 def _cmd_spectrum_scan(cfg: model.SystemConfig, manifest: RunManifest,
                        out: Path) -> dict:
     grid = _xi_grid(manifest)
-    rows = _scan_rows(cfg, grid, _thread_cap())
+    eigs = dynamics.spectra(cfg, grid)
+    pairs = np.stack([eigs.real, eigs.imag], axis=2).reshape(grid.size, -1)
+    rows = np.column_stack([grid, pairs, eigs.real.max(axis=1)]).tolist()
     header = "xi," + ",".join(f"re{i},im{i}" for i in range(1, 9)) + ",abscissa"
     _write_csv(out / "spectrum.csv", header, rows)
     nonzero = [(r[0], r[-1]) for r in rows if r[0] != 0.0]

@@ -16,7 +16,10 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from tlab.model import Coupling, ModeState, SystemConfig, Tau, assemble_generator
+from tlab.model import (
+    CaseMismatchError, Coupling, ModeState, SystemConfig, Tau, assemble_generator,
+    real_generator_batch,
+)
 
 IMAG_EIG_TOL = 1e-8  # |Re(lam)| <= tol*(1+|lam|) counts as purely imaginary
 
@@ -27,10 +30,6 @@ class EigensolverError(RuntimeError):
 
 class NoImaginaryEigenvalueError(RuntimeError):
     """No eigenvalue close enough to the imaginary axis was found."""
-
-
-class CaseMismatchError(ValueError):
-    """Operation applied to a configuration outside its validity case."""
 
 
 @dataclass(frozen=True)
@@ -51,23 +50,44 @@ def propagate(cfg: SystemConfig, xi: float, s0: ModeState, t: float) -> ModeStat
     return ModeState(values=out, xi=xi)
 
 
-def spectrum(cfg: SystemConfig, xi: float) -> SpectrumResult:
-    """Eigenvalues of A(xi) with a backward-error check on each pair."""
-    a = assemble_generator(cfg, xi).a
+def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
+    """Eigenvalues of A(xi) at every grid frequency, shape (n, 8).
+
+    One stacked real eigendecomposition of B(xi) = S^-1 A(xi) S, which has
+    the spectrum of A.  Each row is sorted by (Re, Im); conjugate pairs of a
+    real matrix have equal real parts, so the negative imaginary part comes
+    first.  Every pair must pass the backward-error check
+    |B v - lam v| / |v| <= 1e-10 max(|B|_2, 1), else EigensolverError names
+    the frequency.
+    """
+    grid = np.asarray(xi_grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise ValueError("xi grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("xi grid has non-finite entries")
+    b = real_generator_batch(cfg, grid)
     try:
-        eigvals, eigvecs = scipy.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails at n=8
-        raise EigensolverError(f"eigensolver failed at xi={xi}: {exc}") from exc
-    scale = np.linalg.norm(a, 2)
-    for lam, vec in zip(eigvals, eigvecs.T):
-        nv = np.linalg.norm(vec)
-        resid = np.linalg.norm(a @ vec - lam * vec) / max(nv, 1e-300)
-        if resid > 1e-10 * max(scale, 1.0):
-            raise EigensolverError(
-                f"backward error {resid:.3e} too large for eigenvalue {lam} at xi={xi}"
-            )
-    order = np.lexsort((eigvals.imag, eigvals.real))
-    eigvals = eigvals[order]
+        eigvals, eigvecs = np.linalg.eig(b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n=8
+        raise EigensolverError(f"eigensolver failed on the xi grid: {exc}") from exc
+    eigvals = eigvals.astype(complex)
+    resid = (np.linalg.norm(b @ eigvecs - eigvecs * eigvals[:, None, :], axis=1)
+             / np.maximum(np.linalg.norm(eigvecs, axis=1), 1e-300))
+    limit = 1e-10 * np.maximum(np.linalg.norm(b, 2, axis=(1, 2)), 1.0)
+    bad = ~(resid <= limit[:, None])
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise EigensolverError(
+            f"backward error {resid[i, k]:.3e} too large for eigenvalue "
+            f"{eigvals[i, k]} at xi={grid[i]}"
+        )
+    order = np.lexsort((eigvals.imag, eigvals.real), axis=-1)
+    return np.take_along_axis(eigvals, order, axis=-1)
+
+
+def spectrum(cfg: SystemConfig, xi: float) -> SpectrumResult:
+    """Eigenvalues of A(xi) at one frequency; see spectra."""
+    eigvals = spectra(cfg, [xi])[0]
     return SpectrumResult(
         eigenvalues=eigvals,
         abscissa=float(np.max(eigvals.real)),
@@ -96,18 +116,8 @@ def spectral_abscissa_scan(
     cfg: SystemConfig, xi_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """(xi, max Re(lambda)) over the grid, in grid order."""
-    grid = np.asarray(xi_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("xi grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("xi grid has non-finite entries")
-    out = []
-    for xi in grid:
-        try:
-            out.append((float(xi), spectrum(cfg, float(xi)).abscissa))
-        except EigensolverError as exc:
-            raise EigensolverError(f"scan failed at xi={xi}: {exc}") from exc
-    return out
+    grid = np.asarray(xi_grid, dtype=float).reshape(-1)
+    return list(zip(grid.tolist(), spectra(cfg, grid).real.max(axis=1).tolist()))
 
 
 def _require_chi0_tau1(cfg: SystemConfig) -> None:

@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-import scipy.integrate
+import scipy.special
 
 from tlab.model import Coupling, SystemConfig, Tau
 
 
 class UnstableCaseError(ValueError):
-    """No envelope exists in the unstable case (tau1 with chi = 0)."""
+    """The unstable case (tau1 with chi = 0) has no envelope, certificate or decay bound."""
 
 
 class HighBranch(enum.Enum):
@@ -139,22 +138,20 @@ def predict_rates(cfg: SystemConfig, j: int, ell: int) -> RatePrediction:
 def low_freq_integral_bound(r1: float, r2: float, r3: float, t: float) -> dict:
     """Bound int_0^1 xi^{r1} e^{-r3 t xi^{r2}} dxi <= C (1+t)^{-(r1+1)/r2}.
 
-    The constant is C = max{2^a/(r1+1), (2^a/(r2 r3^a)) * C12} with
-    a = (r1+1)/r2 and C12 = int_0^inf tau^{a-1} e^{-tau} dtau evaluated by
-    quadrature.  Returns {integral, bound, constant}.
+    With a = (r1+1)/r2 and u = r3 t xi^{r2} the integral is the lower
+    incomplete gamma function, Gamma(a) P(a, r3 t) / (r2 (r3 t)^a), and
+    1/(r1+1) at t = 0.  The constant is C = max{2^a/(r1+1), (2^a/(r2 r3^a)) C12}
+    with C12 = Gamma(a).  Returns {integral, bound, constant}.
     """
     if not (r1 > -1 and r2 > 0 and r3 > 0 and t >= 0):
         raise ValueError("need r1 > -1, r2 > 0, r3 > 0, t >= 0")
     a = (r1 + 1.0) / r2
-
-    integral, _ = scipy.integrate.quad(
-        lambda x: x ** r1 * math.exp(-r3 * t * x ** r2), 0.0, 1.0,
-        epsrel=1e-8, limit=200,
-    )
-    c12, _ = scipy.integrate.quad(
-        lambda u: u ** (a - 1.0) * math.exp(-u), 0.0, np.inf,
-        epsrel=1e-8, limit=200,
-    )
+    z = r3 * t
+    c12 = scipy.special.gamma(a)
+    if z == 0.0:
+        integral = 1.0 / (r1 + 1.0)
+    else:
+        integral = c12 * scipy.special.gammainc(a, z) / (r2 * z ** a)
     constant = max(2.0 ** a / (r1 + 1.0), (2.0 ** a / (r2 * r3 ** a)) * c12)
     bound = constant * (1.0 + t) ** (-a)
     return {"integral": float(integral), "bound": float(bound),

@@ -34,7 +34,8 @@ def hermitian_from_terms(terms: Iterable[Term]) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """(M + M*)/2, for one matrix or a stack of them."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import scipy.linalg
 from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
 from tlab.forms import DIM
-from tlab.model import SystemConfig, generator_batch, real_similarity
+from tlab.model import SystemConfig, real_generator_batch, real_similarity
 
 TAIL_BUDGET = 1e-16
 
@@ -224,9 +224,8 @@ def _mode_norms_sq(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray,
     every time; nodes whose eigenvector matrix is ill-conditioned (or
     singular) are propagated by the matrix exponential instead.
     """
-    s = real_similarity(cfg)
-    b = (generator_batch(cfg, xi) * (s[None, :] / s[:, None])).real
-    y0 = uhat0 / s
+    b = real_generator_batch(cfg, xi)
+    y0 = uhat0 / real_similarity(cfg)
     w, v = np.linalg.eig(b)
     try:
         vinv = np.linalg.inv(v)

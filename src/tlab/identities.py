@@ -24,13 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from tlab.forms import ETA, PHI, SIGMA, THETA, Term, U, V, Y, Z, hermitian_from_terms
-from tlab.model import Coupling, SystemConfig, Tau, assemble_generator
+from tlab.model import CaseMismatchError, Coupling, SystemConfig, Tau, assemble_generator
 
 TermFn = Callable[[SystemConfig, float], Sequence[Term]]
-
-
-class CaseMismatchError(ValueError):
-    """Identity applied to a configuration outside its case."""
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,14 @@ import numpy as np
 
 from tlab import envelope as _envelope
 from tlab import identities as _ids
+from tlab.envelope import UnstableCaseError
 from tlab.forms import DIM, ETA, HermitianForm, hermitian_part
-from tlab.identities import CaseMismatchError
-from tlab.model import Coupling, SystemConfig, Tau, assemble_generator, hermitian_energy
+from tlab.model import (
+    CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
+)
 
 NEG_TOL_FACTOR = 1e-8  # slack allowed on the max eigenvalue, times |H|
 LAMBDA_CAP = 2.0 ** 40
-
-
-class UnstableCaseError(ValueError):
-    """The unstable case (tau = (1,0,0), chi = 0) has no certificate."""
 
 
 class CertificateSearchError(RuntimeError):
@@ -429,21 +427,16 @@ def certify(
     tol = NEG_TOL_FACTOR * h_scale
     hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
 
-    n = grid.size
-    drift_f = np.empty((n, DIM, DIM), dtype=complex)  # Herm(A*G + GA), G = F/ftilde
-    gen_eigs = np.empty((n, 2))
-    f_vals = np.empty(n)
-    dissip = np.empty((n, DIM, DIM), dtype=complex)
-    for i, xi in enumerate(grid):
-        a = assemble_generator(cfg, xi).a
-        g_mat = _f_part_matrix(cfg, params, xi) / _envelope.f_tilde(cfg, xi)
-        g_mat = hermitian_part(g_mat)
-        drift_f[i] = hermitian_part(a.conj().T @ g_mat + g_mat @ a)
-        dh = hermitian_part(a.conj().T @ h + h @ a)
-        dissip[i] = dh
-        ge = np.linalg.eigvalsh(hinv_sqrt @ g_mat @ hinv_sqrt)
-        gen_eigs[i] = (ge[0], ge[-1])
-        f_vals[i] = _envelope.f_of_xi(cfg, xi)
+    # G = F/ftilde comes from the identity catalog and f from the envelope's
+    # scalar definition, one xi at a time; everything else is stacked
+    g_mat = hermitian_part(np.array(
+        [_f_part_matrix(cfg, params, xi) / _envelope.f_tilde(cfg, xi) for xi in grid]))
+    f_vals = np.array([_envelope.f_of_xi(cfg, xi) for xi in grid])
+    a = generator_batch(cfg, grid)
+    a_adj = a.conj().swapaxes(-1, -2)
+    drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)  # Herm(A*G + GA)
+    dissip = hermitian_part(a_adj @ h + h @ a)
+    gen_eigs = np.linalg.eigvalsh(hinv_sqrt @ g_mat @ hinv_sqrt)[:, [0, -1]]
 
     fh = f_vals[:, None, None] * h[None, :, :]
 

@@ -36,6 +36,10 @@ class ConfigError(ValueError):
     """Invalid configuration value or config file."""
 
 
+class CaseMismatchError(ValueError):
+    """Operation applied to a configuration outside its validity case."""
+
+
 class Tau(enum.Enum):
     """Which equation carries the thermal coupling term."""
 
@@ -228,6 +232,16 @@ def real_similarity(cfg: SystemConfig) -> np.ndarray:
     odd[ETA] = odd[coupled] ^ (cfg.coupling is Coupling.FIRST_ORDER)
     odd[SIGMA] = 1 - odd[ETA]
     return np.where(odd == 1, 1j, 1.0 + 0j)
+
+
+def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
+    """The real matrices B(xi) = S^-1 A(xi) S of real_similarity, shape (n, 8, 8).
+
+    S is unitary, so B has the spectrum and the 2-norm of A, and
+    |e^{At} u| = |e^{Bt} S^-1 u|.
+    """
+    s = real_similarity(cfg)
+    return (generator_batch(cfg, xi) * (s[None, :] / s[:, None])).real
 
 
 def hermitian_energy(cfg: SystemConfig) -> HermitianForm:

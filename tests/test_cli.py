@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tlab import fullline
@@ -72,7 +73,50 @@ class TestExitCodes:
         assert summary["expected_stable"] is False
 
 
+    def test_spectrum_scan_eigensolver_failure_is_exit_three(self, stable_config, tmp_path,
+                                                             monkeypatch, capsys):
+        real_eig = np.linalg.eig
+
+        def perturbed(b):
+            w, v = real_eig(b)
+            w = w.astype(complex)
+            w[3, 2] += 1e-3 * (1.0 + abs(w[3, 2]))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        assert main(["spectrum-scan", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o")] + _fast()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: backward error")
+        assert err.count("\n") == 1
+
+
+# a stable tau3 zero-order type-III config whose spectral abscissa near
+# xi = 98.9 is about -1.8e-12, close to eigensolver roundoff
+SCAN_ROUNDOFF = """\
+k1 = 0.760879
+k2 = 1.517054
+k3 = 0.728807
+k4 = 0.973145
+k5 = 1.790744
+gamma = 1.253842
+tau = 3
+damping = type3
+coupling = zero
+"""
+
+
 class TestArtifacts:
+    def test_spectrum_scan_resolves_small_stable_abscissa(self, tmp_path):
+        cfg = tmp_path / "roundoff.cfg"
+        cfg.write_text(SCAN_ROUNDOFF)
+        out = tmp_path / "o"
+        assert main(["spectrum-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["stable_scan"] is True
+        assert summary["max_abscissa_nonzero_xi"] < 0.0
+
+
     def test_identities_pass(self, stable_config, tmp_path):
         out = tmp_path / "o"
         assert main(["identities", "--config", str(stable_config),

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 import oracles
 from tlab.dynamics import (
-    CaseMismatchError, NoImaginaryEigenvalueError, characteristic_det_chi0,
-    default_xi_grid, nondecay_witness, propagate, spectral_abscissa_scan,
-    spectrum,
+    CaseMismatchError, EigensolverError, NoImaginaryEigenvalueError,
+    characteristic_det_chi0, default_xi_grid, nondecay_witness, propagate,
+    spectra, spectral_abscissa_scan, spectrum,
 )
 from tlab.model import ModeState, Tau, assemble_generator
 from tlab.suite import standard_suite, unstable_reference
@@ -80,6 +82,56 @@ class TestSpectrum:
         close = res.eigenvalues[np.abs(res.eigenvalues.real)
                                 == res.nearest_imaginary_gap]
         assert np.any(np.abs(np.abs(close.imag) - math.sqrt(cfg.k2)) < 1e-8)
+
+
+class TestBatchedSpectra:
+    def test_matches_pointwise_complex_eigvals(self):
+        """Eigenvalue multisets agree with scipy's complex eigvals of A(xi)."""
+        grid = default_xi_grid()
+        cfgs = list(standard_suite().values()) + [unstable_reference()]
+        worst = 0.0
+        for cfg in cfgs:
+            got = spectra(cfg, grid)
+            assert got.shape == (grid.size, 8)
+            for xi, row in zip(grid, got):
+                want = scipy.linalg.eigvals(assemble_generator(cfg, xi).a)
+                dist = np.abs(row[:, None] - want[None, :])
+                rows, cols = scipy.optimize.linear_sum_assignment(dist)
+                rel = dist[rows, cols] / np.maximum(1.0, np.abs(want[cols]))
+                worst = max(worst, float(rel.max()))
+        assert worst <= 1e-12
+
+    def test_rows_sorted_with_conjugates_adjacent(self, rng):
+        cfg = random_config(rng)
+        eigs = spectra(cfg, [0.0, 0.5, 2.0, 40.0])
+        for row in eigs:
+            assert np.all(np.diff(row.real) >= 0.0)
+            # a real matrix's conjugate pairs share their real part exactly,
+            # and the negative imaginary part comes first
+            for k in np.flatnonzero(row.imag < 0):
+                assert row[k + 1] == np.conj(row[k])
+
+    def test_backward_error_check_names_xi(self, rng, monkeypatch):
+        cfg = random_config(rng)
+        grid = np.array([0.1, 0.7, 3.0])
+        real_eig = np.linalg.eig
+
+        def perturbed(b):
+            w, v = real_eig(b)
+            w = w.astype(complex)
+            w[1, 0] += 1e-3 * (1.0 + abs(w[1, 0]))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(EigensolverError, match="at xi=0.7"):
+            spectra(cfg, grid)
+
+    def test_rejects_bad_grid(self, rng):
+        cfg = random_config(rng)
+        with pytest.raises(ValueError):
+            spectra(cfg, [])
+        with pytest.raises(ValueError):
+            spectra(cfg, [1.0, math.inf])
 
 
 class TestScanAndGrid:

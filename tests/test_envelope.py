@@ -159,6 +159,28 @@ class TestAuxiliaryBounds:
                 out = high_freq_sup_bound(2 * ell, c / 5.0, 2.0, t)
                 assert out["sup"] <= out["bound"] * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("r1,r2,r3,t", [
+        # points of the seed-707 sweep in criterion 7
+        (3.7982324901711824, 4.9320694929384095, 1.4748949548842019, 0.01),
+        (4.471938652370451, 7.710634566331137, 2.042418020777115, 32903.44562312671),
+        (2.3878394966091845, 5.842244872069097, 2.521874019292519, 1e5),
+    ])
+    def test_low_freq_closed_form_matches_mpmath(self, r1, r2, r3, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            # split where the integrand turns from x^r1 growth to decay
+            knee = min(0.5, float((r3 * t) ** (-1.0 / r2)))
+            want = mpmath.quad(lambda x: x ** r1 * mpmath.exp(-r3 * t * x ** r2),
+                               [0, knee, 1])
+        got = low_freq_integral_bound(r1, r2, r3, t)["integral"]
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+    def test_low_freq_at_time_zero(self):
+        out = low_freq_integral_bound(2.0, 6.0, 0.08, 0.0)
+        assert out["integral"] == 1.0 / 3.0
+        assert out["constant"] == pytest.approx(
+            max(2.0 ** 0.5 / 3.0, 2.0 ** 0.5 / (6.0 * 0.08 ** 0.5) * math.gamma(0.5)))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             low_freq_integral_bound(-1.0, 1.0, 1.0, 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tlab import identities as _ids
-from tlab.dynamics import propagate
+from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
 from tlab.forms import DIM, ETA, hermitian_part
 from tlab.lyapunov import (
@@ -134,6 +134,27 @@ class TestCertificates:
                 if s1.norm_sq > bound * (1.0 + 1e-9):
                     violations += 1
         assert violations == 0
+
+    def test_matches_per_xi_assembly(self, suite_certificates):
+        """The stacked drift and equivalence bounds agree with assembling
+        A(xi) and the functional's matrix one frequency at a time."""
+        grid = default_xi_grid()[1:]
+        for name, cfg in standard_suite().items():
+            cert = suite_certificates[name]
+            h = hermitian_energy(cfg).matrix
+            hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
+            margins, gen = [], []
+            for xi in grid:
+                a = assemble_generator(cfg, xi).a
+                m = functional_form(cfg, cert.params, xi, cert.big_lambda).matrix
+                drift = hermitian_part(a.conj().T @ m + m @ a) + cert.c1 * f_of_xi(cfg, xi) * h
+                margins.append(np.linalg.eigvalsh(drift)[-1])
+                gen.append(np.linalg.eigvalsh(hinv_sqrt @ m @ hinv_sqrt)[[0, -1]])
+            gen = np.array(gen)
+            scale = np.linalg.norm(h, 2)
+            assert max(margins) == pytest.approx(cert.max_eig_margin, abs=1e-10 * scale), name
+            assert gen[:, 0].min() == pytest.approx(cert.c3, rel=1e-12), name
+            assert gen[:, 1].max() == pytest.approx(cert.c4, rel=1e-12), name
 
     def test_as_dict_fields(self, suite_certificates):
         d = suite_certificates["tau1-type3-first"].as_dict()
