@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import scipy.special
 
 from tlab.model import Coupling, SystemConfig, Tau
@@ -63,15 +64,18 @@ def envelope_cell(cfg: SystemConfig) -> tuple[int, int]:
     return (p, m)
 
 
-def f_tilde(cfg: SystemConfig, xi: float) -> float:
+def f_tilde(cfg: SystemConfig, xi: float | np.ndarray) -> float | np.ndarray:
+    """1 + xi^2 + ... + xi^{2m}, elementwise over an array of xi."""
     _, m = envelope_cell(cfg)
-    x2 = float(xi) ** 2
-    return float(sum(x2 ** i for i in range(m + 1)))
+    x2 = np.square(np.asarray(xi, dtype=float))
+    # np.power, not **: a numpy scalar's ** rounds unlike the array loop
+    return sum(np.power(x2, i) for i in range(m + 1))
 
 
-def f_of_xi(cfg: SystemConfig, xi: float) -> float:
+def f_of_xi(cfg: SystemConfig, xi: float | np.ndarray) -> float | np.ndarray:
+    """The envelope f = xi^p / f_tilde, elementwise over an array of xi."""
     p, _ = envelope_cell(cfg)
-    return float(xi) ** p / f_tilde(cfg, xi)
+    return np.asarray(xi, dtype=float) ** p / f_tilde(cfg, xi)
 
 
 def piecewise_lower_bound(cfg: SystemConfig, xi: float) -> float:

@@ -19,17 +19,18 @@ DIM = 8
 V, U, Z, Y, PHI, THETA, SIGMA, ETA = range(DIM)
 COMPONENT_NAMES = ("v", "u", "z", "y", "phi", "theta", "sigma", "eta")
 
-# a monomial Re(coeff * s[a] * conj(s[b]))
-Term = Tuple[complex, int, int]
+# a monomial Re(coeff * s[a] * conj(s[b])); coeff may be an array over xi
+Term = Tuple[complex | np.ndarray, int, int]
 
 
-def hermitian_from_terms(terms: Iterable[Term]) -> np.ndarray:
-    """Hermitian matrix M with s* M s = sum of Re(c * s_a * conj(s_b))."""
-    m = np.zeros((DIM, DIM), dtype=complex)
+def hermitian_from_terms(terms: Iterable[Term], shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermitian M with s* M s = sum of Re(c * s_a * conj(s_b)), a stack of shape
+    `shape + (8, 8)` when the coefficients are arrays broadcasting to `shape`."""
+    m = np.zeros(shape + (DIM, DIM), dtype=complex)
     for coeff, a, b in terms:
         # Re(c s_a conj(s_b)) = s* (E_{ba} c/2 + E_{ab} conj(c)/2) s
-        m[b, a] += 0.5 * coeff
-        m[a, b] += 0.5 * np.conj(coeff)
+        m[..., b, a] += 0.5 * coeff
+        m[..., a, b] += 0.5 * np.conj(coeff)
     return m
 
 
@@ -61,7 +62,3 @@ class HermitianForm:
     def __call__(self, s: Sequence[complex] | np.ndarray) -> float:
         vec = np.asarray(s, dtype=complex).reshape(DIM)
         return float(np.real(vec.conj() @ self.matrix @ vec))
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "HermitianForm":
-        return cls(hermitian_from_terms(terms))

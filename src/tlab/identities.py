@@ -8,7 +8,8 @@ for a pair of Hermitian forms (W, R) depending on the parameters and on xi.
 W is always a single sesquilinear monomial Re(c * s_a * conj(s_b)); R is the
 sum of a few such monomials.  Each entry is tagged with the coupling order
 and (where relevant) the tau case it belongs to, and the drift can be
-checked numerically: Herm(A* W + W A) must equal R.
+checked numerically: Herm(A* W + W A) must equal R.  Terms take xi as an
+array, so W and R come as stacks over a whole frequency grid.
 
 Naming: entries eq31..eq312 are the coupling-independent building blocks of
 the first-order model (plus eq31p for the heat pair); equ*/equp* entries are
@@ -23,10 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from tlab.forms import ETA, PHI, SIGMA, THETA, Term, U, V, Y, Z, hermitian_from_terms
-from tlab.model import CaseMismatchError, Coupling, SystemConfig, Tau, assemble_generator
+from tlab.forms import (
+    ETA, PHI, SIGMA, THETA, Term, U, V, Y, Z, hermitian_from_terms, hermitian_part,
+)
+from tlab.model import CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch
 
-TermFn = Callable[[SystemConfig, float], Sequence[Term]]
+TermFn = Callable[[SystemConfig, np.ndarray], Sequence[Term]]
 
 
 @dataclass(frozen=True)
@@ -51,24 +54,29 @@ class IdentityEntry:
                 f"tau={cfg.tau.value}/coupling={cfg.coupling.value}"
             )
 
-    def w_matrix(self, cfg: SystemConfig, xi: float) -> np.ndarray:
+    def w_matrix(self, cfg: SystemConfig, xi: float | np.ndarray) -> np.ndarray:
         self.require(cfg)
-        return hermitian_from_terms(self.w_terms(cfg, xi))
+        x = np.asarray(xi, dtype=float)
+        return hermitian_from_terms(self.w_terms(cfg, x), x.shape)
 
-    def r_matrix(self, cfg: SystemConfig, xi: float) -> np.ndarray:
+    def r_matrix(self, cfg: SystemConfig, xi: float | np.ndarray) -> np.ndarray:
         self.require(cfg)
-        return hermitian_from_terms(self.r_terms(cfg, xi))
+        x = np.asarray(xi, dtype=float)
+        return hermitian_from_terms(self.r_terms(cfg, x), x.shape)
 
 
-def identity_residual(entry: IdentityEntry, cfg: SystemConfig, xi: float) -> float:
-    """Frobenius residual of Herm(A*W + WA) = R, relative to 1 + |R|_F."""
-    entry.require(cfg)
-    a = assemble_generator(cfg, xi).a
-    w = entry.w_matrix(cfg, xi)
-    r = entry.r_matrix(cfg, xi)
-    drift = a.conj().T @ w + w @ a
-    drift = 0.5 * (drift + drift.conj().T)
-    return float(np.linalg.norm(drift - r) / (1.0 + np.linalg.norm(r)))
+def identity_residual(entry: IdentityEntry, cfg: SystemConfig,
+                      xi: float | np.ndarray) -> float | np.ndarray:
+    """Frobenius residual of Herm(A*W + WA) = R, relative to 1 + |R|_F, at
+    every xi (a scalar for scalar xi, else an array of shape(xi))."""
+    x = np.ravel(xi)
+    a = generator_batch(cfg, x)
+    w = entry.w_matrix(cfg, x)
+    r = entry.r_matrix(cfg, x)
+    drift = hermitian_part(a.conj().swapaxes(-1, -2) @ w + w @ a)
+    resid = (np.linalg.norm(drift - r, axis=(-2, -1))
+             / (1.0 + np.linalg.norm(r, axis=(-2, -1))))
+    return resid.reshape(np.shape(xi))[()]
 
 
 _CATALOG: dict[str, IdentityEntry] = {}
@@ -172,7 +180,7 @@ _entry(
     lambda cfg, xi: [
         (xi ** 2, ETA, ETA),
         (-cfg.k4 * xi ** 2, SIGMA, SIGMA),
-        (-cfg.k5 * float(xi) ** (2 * cfg.epsilon0) * 1j * xi, ETA, SIGMA),
+        (-cfg.k5 * xi ** (2 * cfg.epsilon0) * 1j * xi, ETA, SIGMA),
         (_ind(cfg)[0] * cfg.gamma * xi ** 2, U, SIGMA),
         (_ind(cfg)[1] * cfg.gamma * xi ** 2, Y, SIGMA),
         (_ind(cfg)[2] * cfg.gamma * xi ** 2, THETA, SIGMA),
@@ -291,7 +299,7 @@ _entry(
     lambda cfg, xi: [
         (xi ** 2, ETA, ETA),
         (-cfg.k4 * xi ** 2, SIGMA, SIGMA),
-        (-cfg.k5 * float(xi) ** (2 * cfg.epsilon0) * 1j * xi, ETA, SIGMA),
+        (-cfg.k5 * xi ** (2 * cfg.epsilon0) * 1j * xi, ETA, SIGMA),
         (_ind(cfg)[0] * cfg.gamma * 1j * xi, U, SIGMA),
         (_ind(cfg)[1] * cfg.gamma * 1j * xi, Y, SIGMA),
         (_ind(cfg)[2] * cfg.gamma * 1j * xi, THETA, SIGMA),
@@ -353,8 +361,8 @@ def _ag(cfg: SystemConfig) -> float:
     return abs(cfg.gamma)
 
 
-def _damp(cfg: SystemConfig, xi: float) -> float:
-    return cfg.k5 * float(xi) ** (2 * cfg.epsilon0)
+def _damp(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
+    return cfg.k5 * xi ** (2 * cfg.epsilon0)
 
 
 _entry(
@@ -543,7 +551,7 @@ _entry(
         (-_ag(cfg) * xi ** 2, U, U),
         (-_s(cfg) * cfg.k4 * 1j * xi ** 3, SIGMA, U),
         (-_s(cfg) * cfg.k1 * 1j * xi ** 3, V, ETA),
-        (_s(cfg) * cfg.k5 * float(xi) ** (2 * cfg.epsilon0 + 2), ETA, U),
+        (_s(cfg) * cfg.k5 * xi ** (2 * cfg.epsilon0 + 2), ETA, U),
     ],
 )
 
@@ -613,7 +621,7 @@ _entry(
         (-_s(cfg) * cfg.k4 * 1j * xi ** 3, SIGMA, Y),
         (_s(cfg) * cfg.k1 * xi ** 2, ETA, V),
         (-_s(cfg) * cfg.k2 * 1j * xi ** 3, Z, ETA),
-        (_s(cfg) * cfg.k5 * float(xi) ** (2 * cfg.epsilon0 + 2), ETA, Y),
+        (_s(cfg) * cfg.k5 * xi ** (2 * cfg.epsilon0 + 2), ETA, Y),
     ],
 )
 

@@ -21,13 +21,14 @@ constants c3 H <= M <= c4 H this yields the pointwise bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from tlab import envelope as _envelope
 from tlab import identities as _ids
+from tlab.dynamics import default_xi_grid
 from tlab.envelope import UnstableCaseError
 from tlab.forms import DIM, ETA, HermitianForm, hermitian_part
 from tlab.model import (
@@ -45,13 +46,6 @@ class CertificateSearchError(RuntimeError):
 # permutation swapping the (z, y) and (phi, theta) pairs; conjugating the
 # tau3 generator by it and swapping k2 <-> k3 yields the tau2 generator
 _SWAP = np.eye(DIM)[[0, 1, 4, 5, 2, 3, 6, 7]]
-
-
-def _swap_config(cfg: SystemConfig) -> SystemConfig:
-    return SystemConfig(
-        k1=cfg.k1, k2=cfg.k3, k3=cfg.k2, k4=cfg.k4, k5=cfg.k5,
-        gamma=cfg.gamma, tau=Tau.TAU2, damping=cfg.damping, coupling=cfg.coupling,
-    )
 
 
 def _mid(a: float, b: float) -> float:
@@ -77,8 +71,8 @@ class LyapunovParams:
             "epsilon": self.epsilon, "case": self.case,
         }
 
-    def derived_lambdas(self, cfg: SystemConfig, xi: float) -> dict:
-        """The xi-dependent multipliers lambda6..lambda9 of the active case."""
+    def derived_lambdas(self, cfg: SystemConfig, xi: float | np.ndarray) -> dict:
+        """The multipliers lambda6..lambda9 of the active case, elementwise in xi."""
         l1, l2, l3, l4, l5 = (self.lambda1, self.lambda2, self.lambda3,
                               self.lambda4, self.lambda5)
         k1, k2, k3 = cfg.k1, cfg.k2, cfg.k3
@@ -103,8 +97,8 @@ class LyapunovParams:
             l9 = l7 - l3 - (k3 / k1) * l4 * xi ** 2
         return {"lambda6": l6, "lambda7": l7, "lambda8": l8, "lambda9": l9}
 
-    def derived_i(self, cfg: SystemConfig, xi: float) -> dict:
-        """The xi-dependent closing multipliers I1.. of the active case."""
+    def derived_i(self, cfg: SystemConfig, xi: float | np.ndarray) -> dict:
+        """The closing multipliers I1.. of the active case, elementwise in xi."""
         dl = self.derived_lambdas(cfg, xi)
         l8, l9 = dl["lambda8"], dl["lambda9"]
         l0, l2, l4, l5 = self.lambda0, self.lambda2, self.lambda4, self.lambda5
@@ -250,52 +244,57 @@ def _check_case(cfg: SystemConfig, params: LyapunovParams) -> None:
         )
 
 
-def _solve_closers(
-    cfg: SystemConfig,
-    fixed: list[tuple[float, str]],
-    free_names: list[str],
-    xi: float,
-) -> list[tuple[float, str]]:
+Recipe = list[tuple[float | np.ndarray, str]]
+
+
+def _combine(cfg: SystemConfig, recipe: Recipe, xi: np.ndarray, matrix: str) -> np.ndarray:
+    """sum_i w_i M_i(xi) over the recipe, M_i each entry's `matrix` ("w_matrix"
+    or "r_matrix"), accumulated in one running stack of shape(xi) + (8, 8)."""
+    m = np.zeros(np.shape(xi) + (DIM, DIM), dtype=complex)
+    for weight, name in recipe:
+        m += np.asarray(weight)[..., None, None] * getattr(_ids.get(name), matrix)(cfg, xi)
+    return m
+
+
+def _solve_closers(cfg: SystemConfig, fixed: Recipe, free_names: list[str],
+                   xi: np.ndarray) -> Recipe:
     """Weights for the remaining closing identities, by exact linear solve.
 
     The drift of the full combination must have no cross terms outside the
     damped component's row/column; that requirement is linear in the free
-    weights and (for a valid identity catalog) exactly solvable.
+    weights and (for a valid identity catalog) exactly solvable.  Every xi
+    is one least-squares problem of a single stacked solve.
     """
-    damped = ETA
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for weight, name in fixed:
-        m += weight * _ids.get(name).r_matrix(cfg, xi)
-    cells = [(i, j) for i in range(DIM) for j in range(DIM)
-             if i < j and i != damped and j != damped]
-    a = np.zeros((2 * len(cells), len(free_names)))
-    b = np.zeros(2 * len(cells))
-    for col, name in enumerate(free_names):
-        r = _ids.get(name).r_matrix(cfg, xi)
-        for row, (i, j) in enumerate(cells):
-            a[2 * row, col] = r[i, j].real
-            a[2 * row + 1, col] = r[i, j].imag
-    for row, (i, j) in enumerate(cells):
-        b[2 * row] = -m[i, j].real
-        b[2 * row + 1] = -m[i, j].imag
-    sol, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.linalg.norm(a @ sol - b))
-    scale = max(1.0, float(np.linalg.norm(b)))
-    if resid > 1e-9 * scale:
+    i, j = np.triu_indices(DIM, 1)
+    off_eta = (i != ETA) & (j != ETA)
+    i, j = i[off_eta], j[off_eta]
+    b = -_combine(cfg, fixed, xi, "r_matrix")[..., i, j, None]
+    a = np.stack([_ids.get(name).r_matrix(cfg, xi)[..., i, j] for name in free_names],
+                 axis=-1)
+    # real weights: the real and imaginary part of each cell are separate equations
+    a = np.concatenate([a.real, a.imag], axis=-2)
+    b = np.concatenate([b.real, b.imag], axis=-2)
+    sol = np.linalg.pinv(a) @ b
+    rel = np.ravel(np.linalg.norm(a @ sol - b, axis=(-2, -1))
+                   / np.maximum(1.0, np.linalg.norm(b, axis=(-2, -1))))
+    k = int(np.argmax(rel))
+    if not rel[k] <= 1e-9:
         raise CertificateSearchError(
-            f"closing weights leave cross terms of size {resid} at xi={xi}"
+            f"closing weights leave cross terms of relative size {rel[k]:.3e} "
+            f"at xi={np.ravel(xi)[k]}"
         )
-    return [(float(w), name) for w, name in zip(sol, free_names)]
+    return [(sol[..., col, 0], name) for col, name in enumerate(free_names)]
 
 
 def functional_recipe(
-    cfg: SystemConfig, params: LyapunovParams, xi: float
-) -> tuple[list[tuple[float, str]], int]:
-    """Weighted identity combination (weight, entry name) and the prefactor
-    exponent q such that F(xi) = xi^q * sum_i w_i W_i."""
+    cfg: SystemConfig, params: LyapunovParams, xi: float | np.ndarray
+) -> tuple[Recipe, int]:
+    """Weighted identity combination (weight, entry name; weights elementwise
+    in xi) and the prefactor exponent q with F(xi) = xi^q * sum_i w_i W_i."""
     _check_case(cfg, params)
     if params.case == "case3z":
         raise CaseMismatchError("tau3 zero-order functional is built by symmetry")
+    xi = np.asarray(xi, dtype=float)
     l0, l1, l2, l3, l4, l5 = (params.lambda0, params.lambda1, params.lambda2,
                               params.lambda3, params.lambda4, params.lambda5)
     dl = params.derived_lambdas(cfg, xi)
@@ -376,21 +375,15 @@ def functional_recipe(
     return f0 + closers, 2 * eps0
 
 
-def _f_part_matrix(cfg: SystemConfig, params: LyapunovParams, xi: float) -> np.ndarray:
-    """Matrix of F(xi) = xi^q F1(xi) (not yet divided by ftilde)."""
+def _f_part_matrix(cfg: SystemConfig, params: LyapunovParams,
+                   xi: float | np.ndarray) -> np.ndarray:
+    """Matrix of F(xi) = xi^q F1(xi) (not yet divided by ftilde), shape(xi) + (8, 8)."""
     if params.case == "case3z":
-        cfg2 = _swap_config(cfg)
-        params2 = LyapunovParams(
-            lambda0=params.lambda0, lambda1=params.lambda1, lambda2=params.lambda2,
-            lambda3=params.lambda3, lambda4=params.lambda4, lambda5=params.lambda5,
-            epsilon=params.epsilon, case="case2z",
-        )
-        return _SWAP @ _f_part_matrix(cfg2, params2, xi) @ _SWAP
-    recipe, q = functional_recipe(cfg, params, xi)
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for weight, name in recipe:
-        m += weight * _ids.get(name).w_matrix(cfg, xi)
-    return float(xi) ** q * m
+        swapped = replace(cfg, k2=cfg.k3, k3=cfg.k2, tau=Tau.TAU2)
+        return _SWAP @ _f_part_matrix(swapped, replace(params, case="case2z"), xi) @ _SWAP
+    x = np.asarray(xi, dtype=float)
+    recipe, q = functional_recipe(cfg, params, x)
+    return (x ** q)[..., None, None] * _combine(cfg, recipe, x, "w_matrix")
 
 
 def functional_form(
@@ -415,7 +408,7 @@ def certify(
     significant digits) and L is equivalent to the energy (c3 > 0).
     """
     if xi_grid is None:
-        xi_grid = _default_certify_grid()
+        xi_grid = default_xi_grid()
     grid = np.asarray(xi_grid, dtype=float)
     grid = grid[grid != 0.0]  # at xi = 0 both drift and f vanish identically
     if grid.size == 0:
@@ -427,11 +420,11 @@ def certify(
     tol = NEG_TOL_FACTOR * h_scale
     hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
 
-    # G = F/ftilde comes from the identity catalog and f from the envelope's
-    # scalar definition, one xi at a time; everything else is stacked
-    g_mat = hermitian_part(np.array(
-        [_f_part_matrix(cfg, params, xi) / _envelope.f_tilde(cfg, xi) for xi in grid]))
-    f_vals = np.array([_envelope.f_of_xi(cfg, xi) for xi in grid])
+    # G = F/ftilde from the identity catalog and f from the envelope, each
+    # evaluated over the whole grid in one pass
+    g_mat = hermitian_part(_f_part_matrix(cfg, params, grid)
+                           / _envelope.f_tilde(cfg, grid)[:, None, None])
+    f_vals = _envelope.f_of_xi(cfg, grid)
     a = generator_batch(cfg, grid)
     a_adj = a.conj().swapaxes(-1, -2)
     drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)  # Herm(A*G + GA)
@@ -486,9 +479,3 @@ def certify(
         c1=c, worst_xi=worst_xi, max_eig_margin=margin, params=params,
         case=params.case,
     )
-
-
-def _default_certify_grid() -> np.ndarray:
-    from tlab.dynamics import default_xi_grid
-
-    return default_xi_grid()

@@ -204,10 +204,10 @@ def _generator_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, 
 
 
 def assemble_generator(cfg: SystemConfig, xi: float) -> GeneratorMatrices:
-    """Build A0, A1, A2 and the assembled generator A(xi)."""
+    """A0, A1, A2 and A(xi), the one-frequency case of generator_batch."""
     a0, a1, a2 = _generator_coefficients(cfg)
-    a = -(-(xi ** 2) * a2 + 1j * xi * a1 + a0)
-    return GeneratorMatrices(a0=a0, a1=a1, a2=a2, xi=float(xi), a=a)
+    return GeneratorMatrices(a0=a0, a1=a1, a2=a2, xi=float(xi),
+                             a=generator_batch(cfg, xi)[0])
 
 
 def generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:

@@ -162,6 +162,17 @@ class TestArtifacts:
         assert header.startswith("xi,re1,im1,re2,im2")
         assert header.endswith("re8,im8,abscissa")
 
+    @pytest.mark.parametrize("name", ["tau2-type3-first-eq", "tau3-type3-first-eq"])
+    def test_report_equal_speed_cells_pass(self, name, tmp_path):
+        """report reaches decay's horizon, past the exponential branch's transient."""
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text(config_text(standard_suite()[name]))
+        out = tmp_path / "o"
+        # the default 31 times: the tail fit needs 8 points past the transient
+        assert main(["report", "--config", str(cfg), "--out", str(out),
+                     "--xi-per-decade", "10"]) == 0
+        assert json.loads((out / "report.json").read_text())["decay"]["pass"] is True
+
     def test_report_unstable_witness(self, unstable_config, tmp_path):
         out = tmp_path / "o"
         assert main(["report", "--config", str(unstable_config),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tlab.dynamics import default_xi_grid
 from tlab.envelope import (
     HighBranch, UnstableCaseError, envelope_cell, f_of_xi, f_tilde,
     high_freq_sup_bound, low_freq_integral_bound, piecewise_lower_bound,
@@ -68,6 +69,15 @@ class TestEnvelopeFunction:
         cfg = standard_suite()["tau1-type3-first"]
         # m = 4: 1 + xi^2 + xi^4 + xi^6 + xi^8
         assert f_tilde(cfg, 2.0) == pytest.approx(1 + 4 + 16 + 64 + 256)
+
+    def test_array_matches_scalar_calls(self):
+        """f and f_tilde over the certify grid equal each scalar call, bit for bit."""
+        grid = default_xi_grid(include_zero=False)
+        for cfg in standard_suite().values():
+            for fn in (f_of_xi, f_tilde):
+                values = fn(cfg, grid)
+                assert values.shape == grid.shape
+                assert np.array_equal(values, [fn(cfg, float(x)) for x in grid])
 
     def test_piecewise_lower_bound_holds(self):
         for cfg in standard_suite().values():

@@ -46,6 +46,17 @@ class TestCatalog:
         with pytest.raises(CaseMismatchError):
             first_only[0].w_matrix(cfg, 1.0)
 
+    def test_matrices_stack_over_xi(self, rng):
+        """On an array of xi, W and R are the stack of the scalar calls, bit for bit."""
+        xis = rng.uniform(0.1, 3.0, size=5)
+        for entry in catalog().values():
+            cfg = _configs_for(entry, rng)
+            for matrix in (entry.w_matrix, entry.r_matrix):
+                stacked = matrix(cfg, xis)
+                assert stacked.shape == (5, 8, 8)
+                assert np.array_equal(stacked, [matrix(cfg, float(x)) for x in xis]), \
+                    entry.name
+
     def test_w_is_single_monomial(self, rng):
         for entry in catalog().values():
             cfg = _configs_for(entry, rng)
@@ -92,7 +103,11 @@ class TestMutationSensitivity:
 
 class TestSuiteResiduals:
     def test_standard_suite_all_entries(self, rng):
+        xis = np.array([0.1, 1.0, 3.0, 10.0])
         for cfg in standard_suite().values():
             for entry in entries_for(cfg):
-                for xi in (0.1, 1.0, 3.0, 10.0):
-                    assert identity_residual(entry, cfg, xi) <= RESIDUAL_TOL
+                residuals = identity_residual(entry, cfg, xis)
+                assert residuals.shape == xis.shape
+                assert np.all(residuals <= RESIDUAL_TOL)
+                per_xi = [identity_residual(entry, cfg, float(xi)) for xi in xis]
+                assert np.array_equal(residuals, per_xi), entry.name

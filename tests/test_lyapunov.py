@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
-from tlab.forms import DIM, ETA, hermitian_part
+from tlab.forms import DIM, ETA, U, V, hermitian_part
+from tlab.identities import IdentityEntry
 from tlab.lyapunov import (
-    DecayCertificate, UnstableCaseError, case_name, certify, functional_form,
-    functional_recipe, select_lambdas,
+    CertificateSearchError, DecayCertificate, UnstableCaseError, case_name, certify,
+    functional_form, functional_recipe, select_lambdas,
 )
 from tlab.model import (
     Coupling, Damping, ModeState, SystemConfig, Tau, assemble_generator,
@@ -155,6 +157,24 @@ class TestCertificates:
             assert max(margins) == pytest.approx(cert.max_eig_margin, abs=1e-10 * scale), name
             assert gen[:, 0].min() == pytest.approx(cert.c3, rel=1e-12), name
             assert gen[:, 1].max() == pytest.approx(cert.c4, rel=1e-12), name
+
+    def test_closer_failure_names_xi(self, monkeypatch):
+        """A cross term no closer can cancel, at one grid frequency, stops the
+        stacked closer solve with an error naming that frequency."""
+        cfg = standard_suite()["tau3-type3-first"]
+        grid = default_xi_grid(include_zero=False)
+        bad_xi = grid[300]
+        r_matrix = IdentityEntry.r_matrix
+
+        def broken(entry, cfg, xi):
+            r = r_matrix(entry, cfg, xi)
+            if entry.name == "equp123":
+                r[..., V, U] += np.where(np.asarray(xi) == bad_xi, 1.0, 0.0)
+            return r
+
+        monkeypatch.setattr(IdentityEntry, "r_matrix", broken)
+        with pytest.raises(CertificateSearchError, match=re.escape(f"at xi={bad_xi}")):
+            certify(cfg, grid)
 
     def test_as_dict_fields(self, suite_certificates):
         d = suite_certificates["tau1-type3-first"].as_dict()
