@@ -17,7 +17,6 @@ DIM = 8
 
 # canonical component order of the state vector
 V, U, Z, Y, PHI, THETA, SIGMA, ETA = range(DIM)
-COMPONENT_NAMES = ("v", "u", "z", "y", "phi", "theta", "sigma", "eta")
 
 # a monomial Re(coeff * s[a] * conj(s[b])); coeff may be an array over xi
 Term = Tuple[complex | np.ndarray, int, int]

@@ -418,7 +418,6 @@ def verify_theorem_bound(
     ok = math.isfinite(c0) and tail["exponent"] <= 0.05
     report = {
         "c0": c0,
-        "max_ratio": c0,
         "ratio_tail_slope": tail["exponent"],
         "norm_tail_slope": norm_tail["exponent"],
         "pass": bool(ok),

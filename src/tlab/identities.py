@@ -13,8 +13,10 @@ array, so W and R come as stacks over a whole frequency grid.
 
 Naming: entries eq31..eq312 are the coupling-independent building blocks of
 the first-order model (plus eq31p for the heat pair); equ*/equp* entries are
-the tau-specific closers used by the three first-order functionals; the
-4-prefixed entries are the zero-order coupling analogues.
+the closers of the tau1 and tau2 first-order functionals; the 4-prefixed
+entries are the zero-order coupling analogues.  There are no tau3 closers:
+both tau3 functionals are the tau2 ones of the k2 <-> k3 swapped system (see
+lyapunov._tau2_image).
 """
 
 from __future__ import annotations
@@ -495,46 +497,6 @@ _entry(
         (-cfg.k4 * xi ** 2, SIGMA, THETA),
         (cfg.k3 * xi ** 2, ETA, PHI),
         (-_damp(cfg, xi) * 1j * xi, ETA, THETA),
-        (cfg.k1 * 1j * xi, V, ETA),
-    ],
-)
-
-# ---------------------------------------------------------------------------
-# tau = (0,0,1), first-order coupling
-# ---------------------------------------------------------------------------
-
-_entry(
-    "equp123", FIRST, Tau.TAU3,
-    lambda cfg, xi: [(1j * _s(cfg) * xi, THETA, ETA)],
-    lambda cfg, xi: [
-        (_ag(cfg) * xi ** 2, ETA, ETA),
-        (-_ag(cfg) * xi ** 2, THETA, THETA),
-        (_s(cfg) * cfg.k4 * xi ** 2, SIGMA, THETA),
-        (-_s(cfg) * cfg.k1 * 1j * xi, V, ETA),
-        (-_s(cfg) * cfg.k3 * xi ** 2, ETA, PHI),
-        (_s(cfg) * _damp(cfg, xi) * 1j * xi, ETA, THETA),
-    ],
-)
-
-_entry(
-    "equp423", FIRST, Tau.TAU3,
-    lambda cfg, xi: [(1.0, U, ETA)],
-    lambda cfg, xi: [
-        (-cfg.gamma * 1j * xi, THETA, U),
-        (cfg.k1 * 1j * xi, V, ETA),
-        (cfg.k4 * 1j * xi, SIGMA, U),
-        (-_damp(cfg, xi), ETA, U),
-    ],
-)
-
-_entry(
-    "equp623", FIRST, Tau.TAU3,
-    lambda cfg, xi: [(1j * xi, ETA, Y)],
-    lambda cfg, xi: [
-        (cfg.gamma * xi ** 2, Y, THETA),
-        (-cfg.k4 * xi ** 2, SIGMA, Y),
-        (cfg.k2 * xi ** 2, ETA, Z),
-        (-_damp(cfg, xi) * 1j * xi, ETA, Y),
         (cfg.k1 * 1j * xi, V, ETA),
     ],
 )

@@ -6,9 +6,14 @@ For each stable case the construction is the same: a functional
 
 is assembled as a weighted sum of catalog identities (see identities.py),
 with case-specific multipliers built from six free parameters lambda0..5
-chosen by a deterministic midpoint rule.  A certificate (lambda, c) then
-consists of a multiplier lambda and a rate c in (0, 1] such that at every
-grid frequency
+chosen by a deterministic midpoint rule.  The tau3 cases have no recipe of
+their own: swapping the (z, y) and (phi, theta) pairs and trading k2 for k3
+turns a tau3 generator into a tau2 generator under either coupling order and
+leaves the energy unchanged, so the tau3 parameters and functional are those
+of this tau2 image (`_tau2_image`), conjugated back by the swap.
+
+A certificate (lambda, c) then consists of a multiplier lambda and a rate
+c in (0, 1] such that at every grid frequency
 
     Herm(A* M + M A) + c f(xi) H  <=  0   (up to a tiny tolerance),
 
@@ -21,7 +26,7 @@ constants c3 H <= M <= c4 H this yields the pointwise bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +35,7 @@ from tlab import envelope as _envelope
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid
 from tlab.envelope import UnstableCaseError
-from tlab.forms import DIM, ETA, HermitianForm, hermitian_part
+from tlab.forms import DIM, HermitianForm, hermitian_part
 from tlab.model import (
     CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
 )
@@ -48,6 +53,12 @@ class CertificateSearchError(RuntimeError):
 _SWAP = np.eye(DIM)[[0, 1, 4, 5, 2, 3, 6, 7]]
 
 
+def _tau2_image(cfg: SystemConfig) -> SystemConfig:
+    """The tau2 system conjugate to the tau3 system `cfg` under _SWAP:
+    A_tau3(xi) = _SWAP A_image(xi) _SWAP, with the same energy H."""
+    return replace(cfg, k2=cfg.k3, k3=cfg.k2, tau=Tau.TAU2)
+
+
 def _mid(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
@@ -61,15 +72,12 @@ class LyapunovParams:
     lambda4: float
     lambda5: float
     epsilon: float
-    case: str  # "case1" | "case2" | "case3" | "case1z" | "case2z" | "case3z"
+    # "case1" | "case2" | "case3" | "case1z" | "case2z" | "case3z"; case3 and
+    # case3z carry the case2/case2z parameters of the tau2 image
+    case: str
 
     def as_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0, "lambda1": self.lambda1,
-            "lambda2": self.lambda2, "lambda3": self.lambda3,
-            "lambda4": self.lambda4, "lambda5": self.lambda5,
-            "epsilon": self.epsilon, "case": self.case,
-        }
+        return asdict(self)
 
     def derived_lambdas(self, cfg: SystemConfig, xi: float | np.ndarray) -> dict:
         """The multipliers lambda6..lambda9 of the active case, elementwise in xi."""
@@ -82,19 +90,11 @@ class LyapunovParams:
             l7 = -(k3 / chi) * (l4 + l5)
             l8 = (k2 / k1) * l5 * xi ** 2 - l1 + (k2 / chi) * (l4 + l5)
             l9 = (k3 / k1) * l4 * xi ** 2 - l3 - (k3 / chi) * (l4 + l5)
-        elif self.case in ("case2", "case2z"):
+        else:  # case2, case2z
             l6 = (k2 / k3) * ((k3 / k1 - 1.0) * l4 * xi ** 2 - l2 - l3)
             l7 = -(k3 / k2) * l6
             l8 = -(k2 / k1) * l5 * xi ** 2 + l6 - l1
             l9 = l4 * xi ** 2 + l2
-        else:  # case3 (first-order; the zero-order tau3 case delegates)
-            # unique choice cancelling the v-z, v-phi, phi-z and u-y cross
-            # terms of the weighted combination (solved from the identity
-            # right-hand sides; see the decisions ledger for the derivation)
-            l6 = l1 + l2 + (1.0 - k2 / k1) * l5 * xi ** 2
-            l7 = -(k3 / k2) * l6
-            l8 = l2 + l5 * xi ** 2
-            l9 = l7 - l3 - (k3 / k1) * l4 * xi ** 2
         return {"lambda6": l6, "lambda7": l7, "lambda8": l8, "lambda9": l9}
 
     def derived_i(self, cfg: SystemConfig, xi: float | np.ndarray) -> dict:
@@ -126,18 +126,12 @@ class LyapunovParams:
             i3 = (s * k4 * l0 + g) * xi ** 2 + (k4 / g) * i1
             i4 = (k4 / g) * (i2 * xi ** 2 + i1)
             return {"I1": i1, "I2": i2, "I3": i3, "I4": i4}
-        if self.case == "case2z":
-            i1 = -l5 * xi ** 2 + l2 - l8
-            i2 = l5 - l4 - dl["lambda6"] - dl["lambda7"]
-            i3 = -s * k4 * l0 * xi ** 2 - (k4 / g) * i1 - g
-            i4 = -(k4 / g) * (i2 * xi ** 2 + i1)
-            return {"I1": i1, "I2": i2, "I3": i3, "I4": i4}
-        # case3: the retained theta cross-term coefficients; the remaining
-        # closer weights have no simple closed form and are solved exactly
-        # inside functional_recipe
-        i1 = l4 * xi ** 2 - l2 + l9
-        i2 = l4 - l5 - dl["lambda6"] - dl["lambda7"]
-        return {"I1": i1, "I2": i2}
+        # case2z
+        i1 = -l5 * xi ** 2 + l2 - l8
+        i2 = l5 - l4 - dl["lambda6"] - dl["lambda7"]
+        i3 = -s * k4 * l0 * xi ** 2 - (k4 / g) * i1 - g
+        i4 = -(k4 / g) * (i2 * xi ** 2 + i1)
+        return {"I1": i1, "I2": i2, "I3": i3, "I4": i4}
 
 
 @dataclass(frozen=True)
@@ -176,6 +170,8 @@ def select_lambdas(cfg: SystemConfig) -> LyapunovParams:
     """Deterministic midpoint walk along the case's inequality chain."""
     if not cfg.stable:
         raise UnstableCaseError("unstable case has no certificate (tau1 with chi = 0)")
+    if cfg.tau is Tau.TAU3:
+        return replace(select_lambdas(_tau2_image(cfg)), case=case_name(cfg))
     ag = abs(cfg.gamma)
     k1, k2, k3, k4 = cfg.k1, cfg.k2, cfg.k3, cfg.k4
     case = case_name(cfg)
@@ -194,7 +190,7 @@ def select_lambdas(cfg: SystemConfig) -> LyapunovParams:
             l3 < l4 < ag * l0 - l1 and l1 + l4 < l2 < ag * l0
             and l1 < l5 < l2 - l4 and l0 > (l1 + l3) / ag
         )
-    elif case in ("case2", "case2z", "case3z"):
+    else:  # case2, case2z
         # chain: 0 < lambda1; 0 < lambda3 < lambda4 < lambda5;
         # 0 < lambda2 < lambda5 - lambda4; lambda0 > (lambda1+lambda5)/|gamma|
         l1 = l3 = 1.0
@@ -202,32 +198,12 @@ def select_lambdas(cfg: SystemConfig) -> LyapunovParams:
         l5 = l4 + 2.0
         l2 = _mid(0.0, l5 - l4)
         l0 = 2.0 * (l1 + l5) / ag
-        if case == "case3z":
-            # parameters feed the swapped tau2 problem where k2 and k3 trade places
-            k2c, k3c = k3, k2
-        else:
-            k2c, k3c = k2, k3
         eps = 0.5 * min(
-            k2c * l1, k3c * l3, l2, l4 - l3,
+            k2 * l1, k3 * l3, l2, l4 - l3,
             k1 * (l5 - l4 - l2), ag * l0 - l1 - l5, k4,
         )
         chain_ok = (
             0 < l3 < l4 < l5 and 0 < l2 < l5 - l4 and l0 > (l1 + l5) / ag
-        )
-    else:  # case3, first-order
-        # chain: 0 < lambda3; 0 < lambda1 < lambda5; 0 < lambda2;
-        # lambda4 > lambda5 + lambda2; lambda0 > (lambda3+lambda4)/|gamma|
-        l3 = l1 = 1.0
-        l5 = l1 + 1.0
-        l2 = 1.0
-        l4 = l5 + l2 + 1.0
-        l0 = 2.0 * (l3 + l4) / ag
-        eps = 0.5 * min(
-            k2 * l1, k3 * l3, l2, l5 - l1,
-            k1 * (l4 - l5 - l2), ag * l0 - l3 - l4, k4,
-        )
-        chain_ok = (
-            0 < l1 < l5 and 0 < l2 and l4 > l5 + l2 and l0 > (l3 + l4) / ag
         )
 
     params = LyapunovParams(lambda0=l0, lambda1=l1, lambda2=l2, lambda3=l3,
@@ -247,53 +223,14 @@ def _check_case(cfg: SystemConfig, params: LyapunovParams) -> None:
 Recipe = list[tuple[float | np.ndarray, str]]
 
 
-def _combine(cfg: SystemConfig, recipe: Recipe, xi: np.ndarray, matrix: str) -> np.ndarray:
-    """sum_i w_i M_i(xi) over the recipe, M_i each entry's `matrix` ("w_matrix"
-    or "r_matrix"), accumulated in one running stack of shape(xi) + (8, 8)."""
-    m = np.zeros(np.shape(xi) + (DIM, DIM), dtype=complex)
-    for weight, name in recipe:
-        m += np.asarray(weight)[..., None, None] * getattr(_ids.get(name), matrix)(cfg, xi)
-    return m
-
-
-def _solve_closers(cfg: SystemConfig, fixed: Recipe, free_names: list[str],
-                   xi: np.ndarray) -> Recipe:
-    """Weights for the remaining closing identities, by exact linear solve.
-
-    The drift of the full combination must have no cross terms outside the
-    damped component's row/column; that requirement is linear in the free
-    weights and (for a valid identity catalog) exactly solvable.  Every xi
-    is one least-squares problem of a single stacked solve.
-    """
-    i, j = np.triu_indices(DIM, 1)
-    off_eta = (i != ETA) & (j != ETA)
-    i, j = i[off_eta], j[off_eta]
-    b = -_combine(cfg, fixed, xi, "r_matrix")[..., i, j, None]
-    a = np.stack([_ids.get(name).r_matrix(cfg, xi)[..., i, j] for name in free_names],
-                 axis=-1)
-    # real weights: the real and imaginary part of each cell are separate equations
-    a = np.concatenate([a.real, a.imag], axis=-2)
-    b = np.concatenate([b.real, b.imag], axis=-2)
-    sol = np.linalg.pinv(a) @ b
-    rel = np.ravel(np.linalg.norm(a @ sol - b, axis=(-2, -1))
-                   / np.maximum(1.0, np.linalg.norm(b, axis=(-2, -1))))
-    k = int(np.argmax(rel))
-    if not rel[k] <= 1e-9:
-        raise CertificateSearchError(
-            f"closing weights leave cross terms of relative size {rel[k]:.3e} "
-            f"at xi={np.ravel(xi)[k]}"
-        )
-    return [(sol[..., col, 0], name) for col, name in enumerate(free_names)]
-
-
 def functional_recipe(
     cfg: SystemConfig, params: LyapunovParams, xi: float | np.ndarray
 ) -> tuple[Recipe, int]:
     """Weighted identity combination (weight, entry name; weights elementwise
     in xi) and the prefactor exponent q with F(xi) = xi^q * sum_i w_i W_i."""
     _check_case(cfg, params)
-    if params.case == "case3z":
-        raise CaseMismatchError("tau3 zero-order functional is built by symmetry")
+    if cfg.tau is Tau.TAU3:
+        raise CaseMismatchError("tau3 functionals are built from their tau2 image")
     xi = np.asarray(xi, dtype=float)
     l0, l1, l2, l3, l4, l5 = (params.lambda0, params.lambda1, params.lambda2,
                               params.lambda3, params.lambda4, params.lambda5)
@@ -333,18 +270,6 @@ def functional_recipe(
         ]
         return f0 + closers, 2 * eps0
 
-    if params.case == "case3":
-        f0 = [(x2 * l1, "eq31"), (-x2 * l2, "eq32"), (x2 * l3, "eq33"),
-              (-x2 * l4, "eq34"), (x2 * l5, "eq35"), (x2, "eq31p"),
-              (x2 * l6, "eq36"), (x2 * l7, "eq37"), (x2 * l8, "eq310"),
-              (x2 * l9, "eq312")]
-        fixed = f0 + [(l0 * x2, "equp123"),
-                      (-(k4 / g) * di["I1"], "equp22"),
-                      (-(1.0 / g) * di["I1"] * x2, "equp423")]
-        closers = _solve_closers(cfg, fixed,
-                                 ["equp32", "equp52", "equp623"], xi)
-        return fixed + closers, 2 * eps0
-
     if params.case == "case1z":
         f0 = [(x2 * l1, "4eq31"), (x2 * l2, "4eq32"), (x2 * l3, "4eq33"),
               (x2 * l4, "4eq34"), (x2 * l5, "4eq35"), (x2, "4eq31p"),
@@ -378,12 +303,16 @@ def functional_recipe(
 def _f_part_matrix(cfg: SystemConfig, params: LyapunovParams,
                    xi: float | np.ndarray) -> np.ndarray:
     """Matrix of F(xi) = xi^q F1(xi) (not yet divided by ftilde), shape(xi) + (8, 8)."""
-    if params.case == "case3z":
-        swapped = replace(cfg, k2=cfg.k3, k3=cfg.k2, tau=Tau.TAU2)
-        return _SWAP @ _f_part_matrix(swapped, replace(params, case="case2z"), xi) @ _SWAP
+    if cfg.tau is Tau.TAU3:
+        image = _tau2_image(cfg)
+        return _SWAP @ _f_part_matrix(image, replace(params, case=case_name(image)), xi) @ _SWAP
     x = np.asarray(xi, dtype=float)
     recipe, q = functional_recipe(cfg, params, x)
-    return (x ** q)[..., None, None] * _combine(cfg, recipe, x, "w_matrix")
+    # sum_i w_i W_i(xi), accumulated in one running stack of shape(xi) + (8, 8)
+    f = np.zeros(x.shape + (DIM, DIM), dtype=complex)
+    for weight, name in recipe:
+        f += np.asarray(weight)[..., None, None] * _ids.get(name).w_matrix(cfg, x)
+    return (x ** q)[..., None, None] * f
 
 
 def functional_form(

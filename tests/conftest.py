@@ -3,7 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tlab.lyapunov import _tau2_image
 from tlab.model import Coupling, Damping, SystemConfig, Tau
+from tlab.suite import standard_suite
+
+TAU3_CELLS = sorted(n for n in standard_suite() if n.startswith("tau3"))
 
 
 def random_config(rng: np.random.Generator, tau: Tau | None = None,
@@ -18,6 +22,13 @@ def random_config(rng: np.random.Generator, tau: Tau | None = None,
         damping=damping or rng.choice(list(Damping)),
         coupling=coupling or rng.choice(list(Coupling)),
     )
+
+
+def recipe_cells() -> dict[str, SystemConfig]:
+    """Every configuration with a functional recipe of its own: the tau1 and
+    tau2 suite cells, and under each tau3 cell's name its tau2 image."""
+    return {n: _tau2_image(cfg) if n in TAU3_CELLS else cfg
+            for n, cfg in standard_suite().items()}
 
 
 def random_state(rng: np.random.Generator) -> np.ndarray:

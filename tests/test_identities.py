@@ -5,10 +5,11 @@ from tlab.forms import hermitian_from_terms
 from tlab.identities import (
     CaseMismatchError, catalog, entries_for, get, identity_residual,
 )
+from tlab.lyapunov import functional_recipe, select_lambdas
 from tlab.model import Coupling, Tau
 from tlab.suite import standard_suite
 
-from conftest import random_config
+from conftest import random_config, recipe_cells
 
 RESIDUAL_TOL = 1e-12
 DRAWS_PER_ENTRY = 100
@@ -21,7 +22,16 @@ def _configs_for(entry, rng):
 
 class TestCatalog:
     def test_catalog_size(self):
-        assert len(catalog()) == 47
+        assert len(catalog()) == 44
+
+    def test_every_entry_named_by_a_recipe(self):
+        """The catalog holds exactly the identities the functionals use: every
+        entry is named by some recipe, and every recipe name is an entry."""
+        named = set()
+        for name, cfg in recipe_cells().items():
+            recipe, _ = functional_recipe(cfg, select_lambdas(cfg), 1.0)
+            named.update(entry_name for _, entry_name in recipe)
+        assert named == set(catalog())
 
     def test_every_entry_clean_over_random_draws(self, rng):
         for entry in catalog().values():

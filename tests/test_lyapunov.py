@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -7,19 +6,18 @@ import pytest
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
-from tlab.forms import DIM, ETA, U, V, hermitian_part
-from tlab.identities import IdentityEntry
+from tlab.forms import DIM, ETA, hermitian_part
 from tlab.lyapunov import (
-    CertificateSearchError, DecayCertificate, UnstableCaseError, case_name, certify,
-    functional_form, functional_recipe, select_lambdas,
+    _SWAP, UnstableCaseError, _tau2_image, case_name, certify, functional_form,
+    functional_recipe, select_lambdas,
 )
 from tlab.model import (
     Coupling, Damping, ModeState, SystemConfig, Tau, assemble_generator,
-    hermitian_energy,
+    generator_batch, hermitian_energy,
 )
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import random_state
+from conftest import TAU3_CELLS, random_state, recipe_cells
 
 CERT_GRID = None  # default grid inside certify()
 
@@ -52,10 +50,9 @@ class TestRecipeDrift:
     """The weighted identity combination must reproduce the functional drift:
     Herm(A* F + F A) = xi^q * sum_i w_i R_i, entry by entry."""
 
-    @pytest.mark.parametrize("name", sorted(n for n in standard_suite()
-                                            if "tau3" not in n or "zero" not in n))
+    @pytest.mark.parametrize("name", sorted(recipe_cells()))
     def test_drift_equals_weighted_rhs(self, name):
-        cfg = standard_suite()[name]
+        cfg = recipe_cells()[name]
         params = select_lambdas(cfg)
         for xi in (0.3, 1.0, 2.7):
             recipe, q = functional_recipe(cfg, params, xi)
@@ -72,12 +69,11 @@ class TestRecipeDrift:
             assert q == (2 + 2 * cfg.epsilon0 if params.case == "case1"
                          else 2 * cfg.epsilon0)
 
-    @pytest.mark.parametrize("name", sorted(n for n in standard_suite()
-                                            if "tau3" not in n or "zero" not in n))
+    @pytest.mark.parametrize("name", sorted(recipe_cells()))
     def test_drift_confined_to_damped_row(self, name):
         """Off the eta row/column the combined drift must be diagonal and
         negative semi-definite for small xi (the cancellation property)."""
-        cfg = standard_suite()[name]
+        cfg = recipe_cells()[name]
         params = select_lambdas(cfg)
         for xi in (0.5, 1.5):
             recipe, _ = functional_recipe(cfg, params, xi)
@@ -158,24 +154,6 @@ class TestCertificates:
             assert gen[:, 0].min() == pytest.approx(cert.c3, rel=1e-12), name
             assert gen[:, 1].max() == pytest.approx(cert.c4, rel=1e-12), name
 
-    def test_closer_failure_names_xi(self, monkeypatch):
-        """A cross term no closer can cancel, at one grid frequency, stops the
-        stacked closer solve with an error naming that frequency."""
-        cfg = standard_suite()["tau3-type3-first"]
-        grid = default_xi_grid(include_zero=False)
-        bad_xi = grid[300]
-        r_matrix = IdentityEntry.r_matrix
-
-        def broken(entry, cfg, xi):
-            r = r_matrix(entry, cfg, xi)
-            if entry.name == "equp123":
-                r[..., V, U] += np.where(np.asarray(xi) == bad_xi, 1.0, 0.0)
-            return r
-
-        monkeypatch.setattr(IdentityEntry, "r_matrix", broken)
-        with pytest.raises(CertificateSearchError, match=re.escape(f"at xi={bad_xi}")):
-            certify(cfg, grid)
-
     def test_as_dict_fields(self, suite_certificates):
         d = suite_certificates["tau1-type3-first"].as_dict()
         assert set(d) == {"case", "lambda_params", "big_lambda", "c", "c_tilde",
@@ -210,6 +188,40 @@ class TestSwapSymmetry:
         cert = certify(cfg)
         assert cert.case == "case3z"
         assert cert.c > 0
+
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    @pytest.mark.parametrize("damping", list(Damping))
+    def test_tau3_is_swapped_tau2_image(self, coupling, damping):
+        """Generator, energy, parameters and functional of a tau3 system are
+        those of its tau2 image conjugated by the component swap, exactly."""
+        cfg = SystemConfig(k1=1.0, k2=1.3, k3=0.8, k4=1.1, k5=0.9, gamma=-1.2,
+                           tau=Tau.TAU3, damping=damping, coupling=coupling)
+        image = _tau2_image(cfg)
+        assert (image.tau, image.k2, image.k3) == (Tau.TAU2, cfg.k3, cfg.k2)
+        grid = default_xi_grid()
+        assert np.array_equal(generator_batch(cfg, grid),
+                              _SWAP @ generator_batch(image, grid) @ _SWAP)
+        assert np.array_equal(hermitian_energy(cfg).matrix,
+                              _SWAP @ hermitian_energy(image).matrix @ _SWAP)
+        params, image_params = select_lambdas(cfg), select_lambdas(image)
+        assert params.case == case_name(cfg)
+        assert image_params.case == case_name(image)
+        assert params.as_dict() | {"case": None} == image_params.as_dict() | {"case": None}
+        for xi in (0.01, 0.3, 1.0, 2.7, 64.0):
+            m = functional_form(cfg, params, xi, 4.0).matrix
+            m_image = functional_form(image, image_params, xi, 4.0).matrix
+            assert np.array_equal(m, _SWAP @ m_image @ _SWAP), xi
+
+    @pytest.mark.parametrize("name", TAU3_CELLS)
+    def test_tau3_certificate_matches_image(self, name, suite_certificates):
+        """A tau3 certificate carries the constants of its tau2 image's; the
+        eigenvalue solves run on permuted stacks, so they agree to roundoff."""
+        cert = suite_certificates[name]
+        image_cert = certify(_tau2_image(standard_suite()[name]))
+        assert cert.case == case_name(standard_suite()[name])
+        for key in ("c", "c3", "c4", "c_tilde", "big_lambda"):
+            assert getattr(cert, key) == pytest.approx(getattr(image_cert, key),
+                                                       rel=1e-12, abs=0.0), key
 
 
 class TestEnvelopeDivision:
