@@ -8,7 +8,7 @@ and each mode propagates exactly by the matrix exponential, so Sobolev
 norms of the whole-line solution reduce to a one-dimensional quadrature
 over frequency, done for all requested times at once.  Initial data are
 per-component Gaussians (and their derivatives), which have closed-form
-transforms and L1 norms and make the truncation error controllable.
+transforms, L1 and Sobolev norms and make the truncation error controllable.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ class Zero:
     def l1_norm(self) -> float:
         return 0.0
 
+    def l2_norm_sq(self, m: int) -> float:
+        return 0.0
+
     def tail_cutoff(self, weight_power: int) -> float:
         return 0.0
 
@@ -63,6 +66,12 @@ class Gaussian:
 
     def l1_norm(self) -> float:
         return abs(self.amplitude) * self.width * math.sqrt(math.pi)
+
+    def l2_norm_sq(self, m: int) -> float:
+        """|d^m g|_{L2}^2 = (1/pi) int_0^inf xi^{2m} a^2 w^2 pi e^{-w^2 xi^2/2} dxi
+        = a^2 w^2 Gamma(m + 1/2) (2/w^2)^(m + 1/2) / 2."""
+        return (self.amplitude ** 2 * self.width ** 2 * 0.5 * math.gamma(m + 0.5)
+                * (2.0 / self.width ** 2) ** (m + 0.5))
 
     def tail_cutoff(self, weight_power: int) -> float:
         """xi beyond which xi^(2w) |ghat|^2 stays under the tail budget."""
@@ -107,6 +116,9 @@ class GaussianDerivative:
         prev = np.polynomial.hermite.hermval(roots, [0] * (n - 1) + [1]) * np.exp(-roots ** 2)
         variation = np.sum(np.abs(np.diff(np.concatenate(([0.0], prev, [0.0])))))
         return float(abs(self.amplitude) * self.width ** (1 - n) * variation)
+
+    def l2_norm_sq(self, m: int) -> float:
+        return self._base().l2_norm_sq(m + self.order)
 
     def tail_cutoff(self, weight_power: int) -> float:
         return self._base().tail_cutoff(weight_power + self.order)
@@ -158,7 +170,14 @@ class InitialDatum:
         return max((p.tail_cutoff(weight_power) for p in self.profiles), default=0.0)
 
     def sobolev_norm_sq(self, m: int) -> float:
-        """|d^m (datum)|_{L2}^2 by Plancherel quadrature."""
+        """|d^m (datum)|_{L2}^2.
+
+        Profiles sit on distinct components, which are orthogonal, so the
+        norm is the sum of each profile's closed form.  Custom Fourier data
+        are integrated by Plancherel quadrature up to `custom_cutoff`.
+        """
+        if self.custom_fourier is None:
+            return float(sum(p.l2_norm_sq(m) for p in self.profiles))
         cutoff = self.tail_cutoff(m)
         if cutoff == 0.0:
             return 0.0
@@ -173,9 +192,9 @@ class InitialDatum:
         return val / math.pi  # (1/2pi) * 2 (conjugate symmetry)
 
 
-# Whole-line quadrature: adaptive bisection of panels, each integrated by the
-# 129-point Clenshaw-Curtis rule with its embedded 65-point rule as the error
-# estimate, for all requested times at once.
+# Whole-line quadrature: adaptive panels on the nested Clenshaw-Curtis rules of
+# 33, 65 and 129 points, for all requested times at once.  A panel climbs to the
+# next rule on the nodes it already has; a panel at 129 points is bisected.
 EPSREL = 1e-9
 EPSABS = 1e-13
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
@@ -194,8 +213,11 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), weights
 
 
-_CC_X, _CC_W = _clenshaw_curtis(128)
-_CC_W_EMBEDDED = _clenshaw_curtis(64)[1]   # on the even-indexed nodes _CC_X[::2]
+_CC_X = _clenshaw_curtis(128)[0]
+# weights of the 17-, 33-, 65- and 129-point rules, keyed by stride: the
+# (128/s + 1)-point rule sits on the nodes _CC_X[::s]
+_CC_W = {s: _clenshaw_curtis(128 // s)[1] for s in (8, 4, 2, 1)}
+_START_STRIDE = 4          # a new panel starts on the 33-point rule
 
 
 @dataclass(frozen=True)
@@ -250,30 +272,58 @@ def _mode_norms_sq(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray,
 
 
 def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
-            lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            lo: np.ndarray, hi: np.ndarray, stride: np.ndarray,
+            held: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray, list, int]:
     """Per-panel integral and error estimate, shape (panels, times).
 
-    One panel (129 nodes) at a time, which bounds the working memory.
+    Panel k is integrated by the rule of stride[k] and checked against the
+    rule of twice that stride on every other of its nodes.  held[k], when
+    set, holds the panel's integrand on the nodes of twice its stride, so
+    only the missing nodes are evaluated.  Whole panels are propagated
+    together up to 129 new nodes at a time, which bounds the working memory.
+    Also returns each panel's integrand values while it is below 129 points
+    (None otherwise) and the number of nodes evaluated.
     """
+    half = 0.5 * (hi - lo)
+    fresh = [_CC_X[::s] if f is None else _CC_X[s::2 * s] for s, f in zip(stride, held)]
     vals = np.empty((lo.size, times.size))
     errs = np.empty((lo.size, times.size))
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        half = 0.5 * (b - a)
-        xi = a + half * (1.0 + _CC_X)
-        f = _mode_norms_sq(cfg, xi, datum.fourier(xi).T, times) * (xi ** (2 * j))[:, None]
-        vals[k] = half * (_CC_W @ f)
-        errs[k] = np.abs(vals[k] - half * (_CC_W_EMBEDDED @ f[::2]))
-    return vals, errs
+    kept: list[np.ndarray | None] = []
+    first = 0
+    while first < lo.size:
+        last, count = first, 0   # the next panels whose new nodes fit one batch
+        while last < lo.size and count + fresh[last].size <= _CC_X.size:
+            count += fresh[last].size
+            last += 1
+        batch = range(first, last)
+        xi = np.concatenate([lo[k] + half[k] * (1.0 + fresh[k]) for k in batch])
+        new = _mode_norms_sq(cfg, xi, datum.fourier(xi).T, times) * (xi ** (2 * j))[:, None]
+        parts = np.split(new, np.cumsum([fresh[k].size for k in batch])[:-1])
+        for k, part in zip(batch, parts):
+            if held[k] is None:
+                f = part
+            else:  # the held nodes are every other node of the finer rule
+                f = np.empty((2 * held[k].shape[0] - 1, times.size))
+                f[::2], f[1::2] = held[k], part
+            vals[k] = half[k] * (_CC_W[stride[k]] @ f)
+            errs[k] = np.abs(vals[k] - half[k] * (_CC_W[2 * stride[k]] @ f[::2]))
+            kept.append(f if stride[k] > 1 else None)
+        first = last
+    return vals, errs, kept, sum(x.size for x in fresh)
 
 
 def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[float],
                       j: int) -> NormQuadrature:
     """|d^j U(t)|_{L2}^2 = (1/pi) int_0^cutoff xi^{2j} |e^{A(xi)t} Uhat0|^2 dxi, all t at once.
 
-    Panels start at the breakpoints of every time and are bisected until the
-    summed error estimate of each time is within max(EPSABS, EPSREL |value|),
-    or the node budget is spent.  Raises QuadratureError when an estimate
-    then still exceeds ACCEPT_REL |value|.
+    Panels start at the breakpoints of every time, on the 33-point
+    Clenshaw-Curtis rule.  While some time's summed error estimate exceeds
+    max(EPSABS, EPSREL |value|), the panels with the largest estimates are
+    refined: a panel below 129 points moves to the next nested rule (65,
+    then 129 points), evaluating only the nodes it lacks; a 129-point panel
+    is bisected, both halves at 129 points.  Refinement also stops when the
+    node budget is spent.  Raises QuadratureError when an estimate then
+    still exceeds ACCEPT_REL |value|.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -284,8 +334,8 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
 
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _panels(cfg, datum, ts, j, lo, hi)
-    nodes = lo.size * _CC_X.size
+    stride = np.full(lo.size, _START_STRIDE)
+    vals, errs, held, nodes = _panels(cfg, datum, ts, j, lo, hi, stride, [None] * lo.size)
     while True:
         tol = np.maximum(EPSABS, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) > tol
@@ -295,18 +345,25 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         # the remaining estimate under half its tolerance
         order = np.argsort(-errs[:, open_t], axis=0, kind="stable")
         rest = np.take_along_axis(errs[:, open_t], order, axis=0)[::-1].cumsum(axis=0)[::-1]
-        split = np.zeros(lo.size, dtype=bool)
-        split[order[rest > 0.5 * tol[open_t]]] = True
-        if nodes + 2 * split.sum() * _CC_X.size > NODE_BUDGET:
+        pick = np.zeros(lo.size, dtype=bool)
+        pick[order[rest > 0.5 * tol[open_t]]] = True
+        up = np.flatnonzero(pick & (stride > 1))
+        cut = np.flatnonzero(pick & (stride == 1))
+        if nodes + int(np.sum(128 // stride[up])) + 2 * cut.size * _CC_X.size > NODE_BUDGET:
             break
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _panels(cfg, datum, ts, j, new_lo, new_hi)
-        nodes += new_lo.size * _CC_X.size
-        keep = ~split
+        mid = 0.5 * (lo[cut] + hi[cut])
+        new_lo = np.concatenate([lo[up], lo[cut], mid])
+        new_hi = np.concatenate([hi[up], mid, hi[cut]])
+        new_stride = np.concatenate([stride[up] // 2, np.ones(2 * cut.size, dtype=int)])
+        new_vals, new_errs, new_held, n = _panels(cfg, datum, ts, j, new_lo, new_hi,
+                                                  new_stride,
+                                                  [held[i] for i in up] + [None] * (2 * cut.size))
+        nodes += n
+        keep = np.flatnonzero(~pick)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        stride = np.concatenate([stride[keep], new_stride])
         vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
+        held = [held[i] for i in keep] + new_held
 
     total, err = vals.sum(axis=0), errs.sum(axis=0)
     failed = ((total != 0.0) & (err > ACCEPT_REL * np.abs(total))) | ~np.isfinite(total + err)
@@ -339,14 +396,17 @@ def default_times(n: int = 31, t_max: float = 1e4) -> list[float]:
     return [0.0] + list(np.logspace(0.0, math.log10(t_max), n))
 
 
+MIN_FIT_POINTS = 8   # fewest points a tail fit takes
+
+
 def fit_tail_exponent(series: Sequence[tuple[float, float]], window: float = 0.5) -> dict:
     """Least-squares slope of log(norm) against log(1+t) on the tail window."""
     if not (0 < window <= 1):
         raise ValueError("window must lie in (0, 1]")
     pts = [(t, v) for t, v in series]
-    if len(pts) < 8:
-        raise ValueError("need at least 8 points for a tail fit")
-    n_win = max(int(math.ceil(window * len(pts))), 8)
+    if len(pts) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points for a tail fit")
+    n_win = max(int(math.ceil(window * len(pts))), MIN_FIT_POINTS)
     tail = pts[len(pts) - n_win:]
     if any(v <= 0 for _, v in tail):
         raise ValueError("norms must be positive for a log-log fit")
@@ -374,13 +434,17 @@ def verify_theorem_bound(
     envelope(t) = (1+t)^{-low} |U0|_L1 + branch(t) |d^{j+ell} U0|_L2 with the
     exponents from the rate table; the exponential branch rate is
     c/(2(m+1)) from the certificate.  Passes iff c0 = max ratio is finite
-    and the log-ratio has no upward tail trend (slope <= 0.05).
+    and the log-ratio has no upward tail trend (slope <= 0.05).  A grid of
+    fewer than MIN_FIT_POINTS times raises ValueError before any norm is
+    computed.
     """
     if times is None:
         times = default_times()
     pred = _envelope.predict_rates(cfg, j, ell)
     if not pred.stable:
         raise _envelope.UnstableCaseError("no theorem bound in the unstable case")
+    if len(times) < MIN_FIT_POINTS:  # the tail fits below would reject the grid
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points for a tail fit")
     l1 = datum.l1_norm()
     high_norm = math.sqrt(datum.sobolev_norm_sq(j + ell))
     low = float(pred.low_exponent)

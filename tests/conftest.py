@@ -9,6 +9,20 @@ from tlab.suite import standard_suite
 
 TAU3_CELLS = sorted(n for n in standard_suite() if n.startswith("tau3"))
 
+# a stable tau3 zero-order type-III config whose spectral abscissa near
+# xi = 98.9 is about -1.8e-12, close to eigensolver roundoff
+SCAN_ROUNDOFF = """\
+k1 = 0.760879
+k2 = 1.517054
+k3 = 0.728807
+k4 = 0.973145
+k5 = 1.790744
+gamma = 1.253842
+tau = 3
+damping = type3
+coupling = zero
+"""
+
 
 def random_config(rng: np.random.Generator, tau: Tau | None = None,
                   damping: Damping | None = None,

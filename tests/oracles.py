@@ -11,7 +11,14 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from tlab.model import Coupling, Damping, SystemConfig
+from tlab import envelope
+from tlab.dynamics import default_xi_grid
+from tlab.forms import hermitian_part
+from tlab.lyapunov import (
+    LAMBDA_CAP, NEG_TOL_FACTOR, CertificateSearchError, DecayCertificate, _f_part_matrix,
+    select_lambdas,
+)
+from tlab.model import Coupling, Damping, SystemConfig, generator_batch, hermitian_energy
 
 
 def mode_rhs(cfg: SystemConfig, xi: float, s: np.ndarray) -> np.ndarray:
@@ -97,3 +104,55 @@ def plancherel_norms_sq(cfg: SystemConfig, fourier, cutoff: float,
                 vec = scipy.linalg.expm(a * t) @ u0
                 totals[i] += wk * xk ** (2 * j) * float(np.real(vec.conj() @ vec))
     return [v / np.pi for v in totals]
+
+
+def certify_by_bisection(cfg: SystemConfig) -> DecayCertificate:
+    """lyapunov.certify as it was before the closed-form rate threshold.
+
+    Built from the package's functional and generator (it checks the search,
+    not the assembly): every doubling of lambda and every bisection step
+    decides c by one stacked eigvalsh of Herm(A*M + MA) + c f H.
+    """
+    grid = np.asarray(default_xi_grid(), dtype=float)
+    grid = grid[grid != 0.0]
+    params = select_lambdas(cfg)
+    h = hermitian_energy(cfg).matrix
+    tol = NEG_TOL_FACTOR * float(np.linalg.norm(h, 2))
+    hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
+    g_mat = hermitian_part(_f_part_matrix(cfg, params, grid)
+                           / envelope.f_tilde(cfg, grid)[:, None, None])
+    fh = envelope.f_of_xi(cfg, grid)[:, None, None] * h[None, :, :]
+    a = generator_batch(cfg, grid)
+    a_adj = a.conj().swapaxes(-1, -2)
+    drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)
+    dissip = hermitian_part(a_adj @ h + h @ a)
+    gen_eigs = np.linalg.eigvalsh(hinv_sqrt @ g_mat @ hinv_sqrt)[:, [0, -1]]
+
+    def max_margin(lam: float, c: float) -> tuple[float, float]:
+        eigs = np.linalg.eigvalsh(lam * dissip + drift_f + c * fh)[:, -1]
+        i = int(np.argmax(eigs))
+        return float(eigs[i]), float(grid[i])
+
+    lam, c_floor = 1.0, 1e-9
+    while not (max_margin(lam, c_floor)[0] <= tol and lam + float(np.min(gen_eigs[:, 0])) > 0):
+        lam *= 2.0
+        if lam > LAMBDA_CAP:
+            raise CertificateSearchError("multiplier cap reached")
+    lo, hi = c_floor, 1.0
+    if max_margin(lam, hi)[0] <= tol:
+        c = hi
+    else:
+        while (hi - lo) > 1e-3 * lo:
+            mid = 0.5 * (lo + hi)
+            if max_margin(lam, mid)[0] <= tol:
+                lo = mid
+            else:
+                hi = mid
+        c = lo
+    margin, worst_xi = max_margin(lam, c)
+    c3 = lam + float(np.min(gen_eigs[:, 0]))
+    c4 = lam + float(np.max(gen_eigs[:, 1]))
+    return DecayCertificate(
+        big_lambda=lam, c=c / c4, c_tilde=c4 * cfg.alpha2 / (c3 * cfg.alpha1), c3=c3, c4=c4,
+        c1=c, worst_xi=worst_xi, max_eig_margin=margin, params=params, case=params.case,
+    )

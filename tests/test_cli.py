@@ -9,6 +9,8 @@ from tlab.cli import main
 from tlab.model import config_text
 from tlab.suite import standard_suite, unstable_reference
 
+from conftest import SCAN_ROUNDOFF
+
 
 @pytest.fixture
 def stable_config(tmp_path):
@@ -64,6 +66,23 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand", ["decay", "report"])
+    def test_short_time_grid_is_rejected_before_quadrature(self, subcommand, tmp_path,
+                                                           monkeypatch, capsys):
+        """--times 6 gives 7 times, too few for the tail fit: a usage error
+        raised before any whole-line norm is computed."""
+        def fail(*args, **kwargs):
+            raise AssertionError("solution_norms_sq called")
+
+        monkeypatch.setattr(fullline, "solution_norms_sq", fail)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text(standard_suite()["tau2-frictional-zero"]))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                     "--xi-per-decade", "10", "--times", "6"]) == 2
+        assert capsys.readouterr().err == "error: need at least 8 points for a tail fit\n"
+        assert not (out / "decay.csv").exists() and not (out / "report.json").exists()
+
     def test_spectrum_scan_unstable_exit_zero(self, unstable_config, tmp_path):
         # the scan itself succeeds: instability is expected there, not a failure
         code = main(["spectrum-scan", "--config", str(unstable_config),
@@ -89,21 +108,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: backward error")
         assert err.count("\n") == 1
-
-
-# a stable tau3 zero-order type-III config whose spectral abscissa near
-# xi = 98.9 is about -1.8e-12, close to eigensolver roundoff
-SCAN_ROUNDOFF = """\
-k1 = 0.760879
-k2 = 1.517054
-k3 = 0.728807
-k4 = 0.973145
-k5 = 1.790744
-gamma = 1.253842
-tau = 3
-damping = type3
-coupling = zero
-"""
 
 
 class TestArtifacts:

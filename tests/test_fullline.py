@@ -16,6 +16,8 @@ from tlab.fullline import (
 from tlab.model import assemble_generator
 from tlab.suite import standard_suite, unstable_reference
 
+from conftest import random_config
+
 
 class TestProfiles:
     def test_gaussian_l2_closed_form(self):
@@ -66,6 +68,40 @@ class TestProfiles:
         datum = InitialDatum()
         assert datum.sobolev_norm_sq(0) == 0.0
         assert datum.l1_norm() == 0.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_closed_form_matches_quadrature(self, order):
+        """(1/pi) int_0^inf xi^{2m} |ghat|^2 by quad at epsrel 1e-13."""
+        amplitude, width = -1.3, 0.8
+        profile = (Gaussian(amplitude, width) if order == 0
+                   else GaussianDerivative(order, amplitude, width))
+        datum = InitialDatum.component(V, profile)
+        for m in range(4):
+            numeric, _ = scipy.integrate.quad(
+                lambda x: x ** (2 * m) * abs(complex(profile.fourier(x))) ** 2 / math.pi,
+                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert datum.sobolev_norm_sq(m) == pytest.approx(numeric, rel=1e-12), m
+
+    def test_norm_sums_components_without_quad(self, monkeypatch):
+        """Profile data add up their closed forms; only custom Fourier data
+        are integrated, by one quad call."""
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        datum = _mixed_datum()
+        parts = [InitialDatum.component(V, Gaussian(1.0, 1.0)),
+                 InitialDatum.component(ETA, GaussianDerivative(1, 0.5, 1.5))]
+        for m in range(3):
+            assert datum.sobolev_norm_sq(m) == sum(p.sobolev_norm_sq(m) for p in parts)
+        assert calls == []
+        custom = InitialDatum(custom_fourier=datum.fourier, custom_cutoff=20.0)
+        assert custom.sobolev_norm_sq(1) == pytest.approx(datum.sobolev_norm_sq(1), rel=1e-9)
+        assert len(calls) == 1
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -188,6 +224,50 @@ class TestBatchedKernel:
             solution_norms_sq(cfg, datum, [2154.0], 0)
 
 
+class TestOrderLadder:
+    @pytest.mark.parametrize("stride", [8, 4, 2, 1])
+    def test_nested_rules_are_exact(self, stride):
+        """The 17-, 33-, 65- and 129-point weights on the shared nodes
+        _CC_X[::stride] integrate x^k over [-1, 1] exactly up to their degree."""
+        x, w = fullline._CC_X[::stride], fullline._CC_W[stride]
+        assert x.size == w.size == 128 // stride + 1
+        for k in range(x.size):
+            assert w @ x ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-14), k
+
+    def test_short_time_sweep_matches_oracle(self):
+        """Seeded (config, datum, j) triples at t <= 10, as in a short-time
+        norms run, against per-node expm on composite Gauss-Legendre."""
+        rng = np.random.default_rng(9091)
+        for _ in range(6):
+            cfg = random_config(rng)
+            profiles = [Zero()] * 8
+            for comp in rng.choice(8, size=int(rng.integers(1, 4)), replace=False):
+                order, amplitude = int(rng.integers(0, 3)), float(rng.uniform(0.5, 2.0))
+                width = float(rng.uniform(0.6, 2.0))
+                profiles[comp] = (Gaussian(amplitude, width) if order == 0
+                                  else GaussianDerivative(order, amplitude, width))
+            datum = InitialDatum(profiles=tuple(profiles))
+            j = int(rng.integers(0, 3))
+            times = [0.0, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.0, 10.0))]
+            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(j),
+                                                   times, j, panels=48)
+            got = solution_norms_sq(cfg, datum, times, j).values
+            assert got == pytest.approx(expected, rel=1e-8), (cfg, j, times)
+
+    def test_short_time_nodes(self):
+        """A smooth short-time integrand settles on the lower rules: at most
+        half the 1290 nodes of ten 129-point panels."""
+        cfg = standard_suite()["tau2-type3-first"]
+        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 645
+
+    def test_long_time_nodes(self):
+        """Bisected panels start at 129 points, so the ladder adds no nodes
+        on a long horizon (114,681 nodes with every panel at 129 points)."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 114_681
+
+
 class TestTailFit:
     def test_recovers_synthetic_exponent(self):
         ts = np.logspace(0, 4, 40)
@@ -236,6 +316,19 @@ class TestTheoremBound:
         with pytest.raises(Exception):
             verify_theorem_bound(unstable_reference(), datum, 0, 1,
                                  times=default_times(12, 1e2))
+
+    def test_short_grid_rejected_before_any_norm(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("norm computed")
+
+        for name in ("solution_norms_sq", "decay_series"):
+            monkeypatch.setattr(fullline, name, fail)
+        monkeypatch.setattr(InitialDatum, "sobolev_norm_sq", fail)
+        monkeypatch.setattr(InitialDatum, "l1_norm", fail)
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        with pytest.raises(ValueError, match="need at least 8 points for a tail fit"):
+            verify_theorem_bound(cfg, datum, 0, 1, times=default_times(6))
 
     def test_bound_holds_short_run(self):
         cfg = standard_suite()["tau1-type3-first"]

@@ -8,16 +8,17 @@ from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
 from tlab.forms import DIM, ETA, hermitian_part
 from tlab.lyapunov import (
-    _SWAP, UnstableCaseError, _tau2_image, case_name, certify, functional_form,
-    functional_recipe, select_lambdas,
+    _SWAP, NEG_TOL_FACTOR, CertificateSearchError, UnstableCaseError, _tau2_image,
+    case_name, certify, functional_form, functional_recipe, select_lambdas,
 )
 from tlab.model import (
     Coupling, Damping, ModeState, SystemConfig, Tau, assemble_generator,
-    generator_batch, hermitian_energy,
+    generator_batch, hermitian_energy, parse_config_text,
 )
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import TAU3_CELLS, random_state, recipe_cells
+import oracles
+from conftest import SCAN_ROUNDOFF, TAU3_CELLS, random_config, random_state, recipe_cells
 
 CERT_GRID = None  # default grid inside certify()
 
@@ -158,6 +159,75 @@ class TestCertificates:
         d = suite_certificates["tau1-type3-first"].as_dict()
         assert set(d) == {"case", "lambda_params", "big_lambda", "c", "c_tilde",
                           "c3", "c4", "worst_xi", "max_eig_margin"}
+
+
+def _search_cells() -> dict[str, SystemConfig]:
+    """The suite cells, scan-roundoff, a graded config and seeded random configs.
+
+    On the graded config the drift at xi ~ 93 is ~2e8 in the eta entry and
+    ~1e-12 elsewhere; a lower-triangle eigvalsh of the shifted, scaled drift
+    there is off by ~5e-8 (more than the slack) and ends the search at the
+    multiplier cap.
+    """
+    cells = dict(standard_suite())
+    cells["scan-roundoff"] = parse_config_text(SCAN_ROUNDOFF)
+    cells["graded"] = SystemConfig(
+        k1=2.5994743688442696, k2=0.3087902992049112, k3=2.4221422211917996,
+        k4=2.1020645838329948, k5=0.35134330214148696, gamma=0.4182313172418874,
+        tau=Tau.TAU3, damping=Damping.TYPE_III, coupling=Coupling.ZERO_ORDER)
+    rng = np.random.default_rng(4711)
+    cells.update((f"random-{i}", random_config(rng)) for i in range(16))
+    return cells
+
+
+class TestRateThreshold:
+    """certify() decides each bisection step against one closed-form
+    threshold instead of an eigvalsh over the grid per step."""
+
+    @pytest.mark.parametrize("name", sorted(_search_cells()))
+    def test_matches_eigvalsh_bisection(self, name):
+        cfg = _search_cells()[name]
+        assert certify(cfg) == oracles.certify_by_bisection(cfg)
+
+    def test_graded_drift_certifies(self):
+        """The per-step eigvalsh overstates the drift at xi ~ 79-94 here (3.0e-8
+        against a true -3.2e-9, over the 1.1e-8 slack) at every lambda, so
+        the bisection search ends at the multiplier cap; the threshold
+        certifies, and its c holds at every grid xi by a Cholesky test of
+        tol I - (Q + c f H) on the diagonally equilibrated matrices."""
+        cfg = SystemConfig(
+            k1=1.8336329393646031, k2=2.213912764838688, k3=2.25057768325397,
+            k4=1.5106375836082657, k5=2.0130910309772343, gamma=0.6885520981417247,
+            tau=Tau.TAU1, damping=Damping.TYPE_III, coupling=Coupling.ZERO_ORDER)
+        with pytest.raises(CertificateSearchError):
+            oracles.certify_by_bisection(cfg)
+        cert = certify(cfg)
+        assert cert.c1 > 0.2
+        grid = default_xi_grid()[1:]
+        h = hermitian_energy(cfg).matrix
+        a = generator_batch(cfg, grid)
+        m = np.stack([functional_form(cfg, cert.params, xi, cert.big_lambda).matrix
+                      for xi in grid])
+        q = hermitian_part(a.conj().swapaxes(-1, -2) @ m + m @ a)
+        slack = NEG_TOL_FACTOR * np.linalg.norm(h, 2) * np.eye(DIM)
+        gap = slack - q - cert.c1 * f_of_xi(cfg, grid)[:, None, None] * h
+        d = 1.0 / np.sqrt(np.real(np.diagonal(gap, axis1=1, axis2=2)))
+        np.linalg.cholesky(d[:, :, None] * gap * d[:, None, :])  # raises unless positive
+
+    def test_eigvalsh_calls(self, monkeypatch):
+        """One stacked eigvalsh for the equivalence bounds, one per lambda
+        tried, and the final margin: the doublings plus 3."""
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for name, cfg in standard_suite().items():
+            calls.clear()
+            cert = certify(cfg)
+            assert len(calls) <= round(math.log2(cert.big_lambda)) + 3, name
 
 
 class TestSwapSymmetry:
