@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate-mode, spectrum-scan, identities, certify, predict,
-decay, report.  Exit codes: 0 pass, 1 verification failure (a named
-criterion did not hold), 2 usage or configuration error, 3 numerical
-failure (quadrature, eigensolver or certificate search could not reach
-its tolerance, so no verdict was reached).  Outputs are
-deterministic: a fixed manifest (config + flags + seed) yields
-byte-identical CSV/JSON artifacts.
+decay, report and suite.  Each reads one --config, except suite, which takes
+none: it runs over the standard suite and writes each cell's config.  Exit
+codes: 0 pass, 1 verification failure (a named criterion did not hold), 2
+usage or configuration error, 3 numerical failure (quadrature, eigensolver
+or certificate search could not reach its tolerance, so no verdict was
+reached).  Outputs are deterministic: a fixed command line (config + flags +
+seed) yields byte-identical CSV/JSON artifacts.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
-from tlab import dynamics, envelope, fullline, identities, lyapunov, model
+from tlab import dynamics, envelope, fullline, identities, lyapunov, model, suite
 
-SUBCOMMANDS = ("simulate-mode", "spectrum-scan", "identities", "certify",
-               "predict", "decay", "report")
+# k3 values of the suite's scan across the k3 = k2 degeneracy of the
+# unstable reference (k2 = 1)
+K3_SCAN = (0.8, 0.95, 1.0, 1.05, 1.2)
 
 
 def _fmt(x: float) -> str:
@@ -41,44 +44,31 @@ def _write_csv(path: Path, header: str, rows: list[list[float]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    config_path: str
-    out_dir: str
-    xi_min: float = 1e-2
-    xi_max: float = 1e2
-    xi_per_decade: int = 200
-    times: int = 31
-    seed: int = 0
-    j: int = 0
-    ell: int = 1
-    extra: dict = field(default_factory=dict)
-
-
 class VerificationFailure(RuntimeError):
     """A named acceptance check failed; maps to exit code 1."""
 
 
-def _xi_grid(manifest: RunManifest, include_zero: bool = True) -> np.ndarray:
-    return dynamics.default_xi_grid(manifest.xi_min, manifest.xi_max,
-                                    manifest.xi_per_decade, include_zero)
+def _xi_grid(args: argparse.Namespace, include_zero: bool = True) -> np.ndarray:
+    return dynamics.default_xi_grid(args.xi_min, args.xi_max, args.xi_per_decade,
+                                    include_zero)
 
 
-def _cmd_simulate_mode(cfg: model.SystemConfig, manifest: RunManifest,
+def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
                        out: Path) -> dict:
     """Propagate a seeded random unit mode and check energy dissipation."""
-    rng = np.random.default_rng(manifest.seed)
-    xi = float(manifest.extra.get("xi", 1.0))
+    rng = np.random.default_rng(args.seed)
+    xi = args.xi
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     vec /= np.linalg.norm(vec)
-    s0 = model.ModeState(values=vec, xi=xi)
     h = model.hermitian_energy(cfg)
-    times = np.linspace(0.0, 50.0, manifest.times)
+    times = np.linspace(0.0, 50.0, args.times)
+    states = scipy.linalg.expm(model.generator_batch(cfg, xi) * times[:, None, None]) @ vec
     rows = []
     energies = []
-    for t in times:
-        s = dynamics.propagate(cfg, xi, s0, float(t))
+    for t, values in zip(times, states):
+        s = model.ModeState(values=values, xi=xi)
         e = h(s.values)
         energies.append(e)
         rows.append([float(t), math.sqrt(s.norm_sq), e])
@@ -93,9 +83,9 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, manifest: RunManifest,
     return summary
 
 
-def _cmd_spectrum_scan(cfg: model.SystemConfig, manifest: RunManifest,
+def _cmd_spectrum_scan(cfg: model.SystemConfig, args: argparse.Namespace,
                        out: Path) -> dict:
-    grid = _xi_grid(manifest)
+    grid = _xi_grid(args)
     eigs = dynamics.spectra(cfg, grid)
     pairs = np.stack([eigs.real, eigs.imag], axis=2).reshape(grid.size, -1)
     rows = np.column_stack([grid, pairs, eigs.real.max(axis=1)]).tolist()
@@ -113,9 +103,9 @@ def _cmd_spectrum_scan(cfg: model.SystemConfig, manifest: RunManifest,
     return summary
 
 
-def _cmd_identities(cfg: model.SystemConfig, manifest: RunManifest,
+def _cmd_identities(cfg: model.SystemConfig, args: argparse.Namespace,
                     out: Path) -> dict:
-    rng = np.random.default_rng(manifest.seed)
+    rng = np.random.default_rng(args.seed)
     entries = identities.entries_for(cfg)
     report = {}
     worst = 0.0
@@ -137,19 +127,19 @@ def _certificate_payload(cfg: model.SystemConfig, cert: lyapunov.DecayCertificat
     return payload
 
 
-def _cmd_certify(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> dict:
+def _cmd_certify(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> dict:
     if not cfg.stable:
         raise VerificationFailure(
             "certificate: configuration is in the unstable case (tau1, chi = 0)")
-    grid = _xi_grid(manifest, include_zero=False)
+    grid = _xi_grid(args, include_zero=False)
     cert = lyapunov.certify(cfg, grid)
     payload = _certificate_payload(cfg, cert)
     _write_json(out / "certificate.json", payload)
     return payload
 
 
-def _cmd_predict(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> dict:
-    pred = envelope.predict_rates(cfg, manifest.j, manifest.ell)
+def _cmd_predict(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> dict:
+    pred = envelope.predict_rates(cfg, args.j, args.ell)
     payload = pred.as_dict()
     _write_json(out / "prediction.json", payload)
     return payload
@@ -160,13 +150,13 @@ def _default_datum() -> fullline.InitialDatum:
         model.V, fullline.Gaussian(amplitude=1.0, width=1.0))
 
 
-def _cmd_decay(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> dict:
+def _cmd_decay(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> dict:
     if not cfg.stable:
         raise VerificationFailure(
             "decay bound: configuration is in the unstable case (tau1, chi = 0)")
-    times = fullline.default_times(manifest.times)
+    times = fullline.default_times(args.times)
     datum = _default_datum()
-    report = fullline.verify_theorem_bound(cfg, datum, manifest.j, manifest.ell,
+    report = fullline.verify_theorem_bound(cfg, datum, args.j, args.ell,
                                            times=times)
     _write_csv(out / "decay.csv", "t,norm,envelope,ratio", report["rows"])
     summary = {
@@ -184,7 +174,7 @@ def _cmd_decay(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> dic
     return summary
 
 
-def _cmd_report(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> dict:
+def _cmd_report(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> dict:
     """Aggregate classification, certificate or instability evidence,
     rate prediction, and the decay verification for one configuration."""
     report: dict = {
@@ -206,19 +196,19 @@ def _cmd_report(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> di
             "norm_ratio_t100": witness["ratio"],
             "verdict": "non-decaying mode confirmed",
         }
-        report["prediction"] = envelope.predict_rates(cfg, manifest.j,
-                                                      manifest.ell).as_dict()
+        report["prediction"] = envelope.predict_rates(cfg, args.j,
+                                                      args.ell).as_dict()
         _write_json(out / "report.json", report)
         return report
 
-    grid = _xi_grid(manifest, include_zero=False)
+    grid = _xi_grid(args, include_zero=False)
     cert = lyapunov.certify(cfg, grid)
     report["certificate"] = _certificate_payload(cfg, cert)
-    report["prediction"] = envelope.predict_rates(cfg, manifest.j,
-                                                  manifest.ell).as_dict()
-    times = fullline.default_times(manifest.times)
-    decay = fullline.verify_theorem_bound(cfg, _default_datum(), manifest.j,
-                                          manifest.ell, times=times,
+    report["prediction"] = envelope.predict_rates(cfg, args.j,
+                                                  args.ell).as_dict()
+    times = fullline.default_times(args.times)
+    decay = fullline.verify_theorem_bound(cfg, _default_datum(), args.j,
+                                          args.ell, times=times,
                                           certificate=cert)
     report["decay"] = {"c0": decay["c0"], "tail_slope": decay["ratio_tail_slope"],
                        "pass": decay["pass"]}
@@ -226,6 +216,45 @@ def _cmd_report(cfg: model.SystemConfig, manifest: RunManifest, out: Path) -> di
     if not decay["pass"]:
         raise VerificationFailure("report: decay bound failed")
     return report
+
+
+def _cmd_suite(cfg: None, args: argparse.Namespace, out: Path) -> dict:
+    """Certify and predict every standard cell, then scan the spectral
+    abscissa across the k3 = k2 degeneracy of the unstable reference."""
+    grid = _xi_grid(args, include_zero=False)
+    (out / "configs").mkdir(exist_ok=True)
+    rows = ["name,p,m,loss,low_exponent,high_branch,c,c_tilde,big_lambda"]
+    cells = {}
+    for name, cell in sorted(suite.standard_suite().items()):
+        (out / "configs" / f"{name}.cfg").write_text(model.config_text(cell))
+        cert = lyapunov.certify(cell, grid)
+        pred = envelope.predict_rates(cell, args.j, args.ell).as_dict()
+        p, m = envelope.envelope_cell(cell)
+        cells[name] = {"p": p, "m": m, "certificate": _certificate_payload(cell, cert),
+                       "prediction": pred}
+        rows.append(f"{name},{p},{m},{int(envelope.regularity_loss(cell))},"
+                    f"{pred['low_exponent']},{pred['high_branch']},"
+                    + ",".join(_fmt(v) for v in (cert.c, cert.c_tilde, cert.big_lambda)))
+    (out / "rate_table.csv").write_text("\n".join(rows) + "\n")
+    scan = []
+    for k3 in K3_SCAN:
+        ref = replace(suite.unstable_reference(), k3=k3)
+        record = {"k3": k3, "max_abscissa": float(dynamics.spectra(ref, grid).real.max()),
+                  "stable": ref.stable}
+        if not ref.stable:
+            witness = dynamics.nondecay_witness(ref, xi=1.0, t_final=100.0)
+            record.update(eigenvalue_im=witness["eigenvalue"].imag,
+                          expected_im=math.sqrt(ref.k2),
+                          norm_ratio_t100=witness["ratio"])
+        scan.append(record)
+    payload = {"cells": cells, "degeneracy_scan": scan}
+    _write_json(out / "suite.json", payload)
+    for record in scan:
+        if record["stable"] and record["max_abscissa"] >= 0.0:
+            raise VerificationFailure(
+                f"stable-case spectral gap: abscissa {record['max_abscissa']} >= 0 "
+                f"at k3 = {record['k3']} on the scan grid")
+    return payload
 
 
 _DISPATCH = {
@@ -236,26 +265,24 @@ _DISPATCH = {
     "predict": _cmd_predict,
     "decay": _cmd_decay,
     "report": _cmd_report,
+    "suite": _cmd_suite,
 }
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit code."""
-    if manifest.subcommand not in _DISPATCH:
-        print(f"error: unknown subcommand {manifest.subcommand!r}", file=sys.stderr)
-        return 2
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        cfg = model.load_config(manifest.config_path)
+        cfg = None if args.config is None else model.load_config(args.config)
     except FileNotFoundError:
-        print(f"error: config file not found: {manifest.config_path}", file=sys.stderr)
+        print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
     except model.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(manifest.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        _DISPATCH[manifest.subcommand](cfg, manifest, out)
+        _DISPATCH[args.subcommand](cfg, args, out)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
@@ -274,8 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tlab",
         description="Spectral verification lab for laminated thermoelastic beams",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", required=True, help="path to a key=value config file")
+    parser.add_argument("subcommand", choices=list(_DISPATCH))
+    parser.add_argument("--config", help="path to a key=value config file "
+                        "(every subcommand but suite)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--xi-min", type=float, default=1e-2)
     parser.add_argument("--xi-max", type=float, default=1e2)
@@ -295,23 +323,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if (args.config is None) != (args.subcommand == "suite"):
+        print("error: suite takes no --config and every other subcommand needs one",
+              file=sys.stderr)
+        return 2
     if args.xi_per_decade < 1 or args.times < 2 or args.j < 0 or args.ell < 0:
         print("error: grid and derivative flags must be positive", file=sys.stderr)
         return 2
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        out_dir=args.out,
-        xi_min=args.xi_min,
-        xi_max=args.xi_max,
-        xi_per_decade=args.xi_per_decade,
-        times=args.times,
-        seed=args.seed,
-        j=args.j,
-        ell=args.ell,
-        extra={"xi": args.xi},
-    )
-    return run(manifest)
+    return run(args)
 
 
 if __name__ == "__main__":

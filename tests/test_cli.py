@@ -1,12 +1,18 @@
+import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tlab import fullline
-from tlab.cli import main
-from tlab.model import config_text
+from tlab import dynamics, fullline
+from tlab.cli import K3_SCAN, main
+from tlab.envelope import envelope_cell
+from tlab.model import ModeState, config_text, hermitian_energy
 from tlab.suite import standard_suite, unstable_reference
 
 from conftest import SCAN_ROUNDOFF
@@ -30,6 +36,16 @@ def _fast(extra=()):
     return ["--xi-per-decade", "10", "--times", "12"] + list(extra)
 
 
+SUITE_FLAGS = ["--xi-per-decade", "10"]
+
+
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    """One coarse-grid `tlab suite` run shared by the suite tests."""
+    out = tmp_path_factory.mktemp("suite")
+    return main(["suite", "--out", str(out)] + SUITE_FLAGS), out
+
+
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["identities", "--config", str(tmp_path / "none.cfg"),
@@ -48,6 +64,14 @@ class TestExitCodes:
     def test_unknown_subcommand(self, stable_config, tmp_path):
         assert main(["frobnicate", "--config", str(stable_config),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv", [["certify"], ["suite", "--config", "x.cfg"]])
+    def test_config_only_without_suite(self, argv, tmp_path, capsys):
+        """--config is needed by every subcommand but suite, which refuses it."""
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_verification_failure_is_exit_one(self, unstable_config, tmp_path):
         # certify refuses the non-decaying configuration
@@ -158,6 +182,22 @@ class TestArtifacts:
         assert lines[0] == "t,norm,energy"
         assert len(lines) == 13
 
+    def test_simulate_mode_matches_propagate(self, stable_config, tmp_path):
+        """The stacked exponential gives each row's per-time propagation."""
+        out = tmp_path / "o"
+        assert main(["simulate-mode", "--config", str(stable_config), "--out", str(out),
+                     "--times", "12", "--xi", "0.137", "--seed", "5"]) == 0
+        rows = np.loadtxt(out / "mode.csv", delimiter=",", skiprows=1)
+        rng = np.random.default_rng(5)
+        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        s0 = ModeState(values=vec / np.linalg.norm(vec), xi=0.137)
+        cfg = standard_suite()["tau1-type3-first"]
+        h = hermitian_energy(cfg)
+        for t, norm, energy in rows:
+            s = dynamics.propagate(cfg, 0.137, s0, t)
+            assert norm == pytest.approx(math.sqrt(s.norm_sq), rel=1e-13)
+            assert energy == pytest.approx(h(s.values), rel=1e-13)
+
     def test_spectrum_scan_csv_header(self, stable_config, tmp_path):
         out = tmp_path / "o"
         assert main(["spectrum-scan", "--config", str(stable_config),
@@ -187,13 +227,71 @@ class TestArtifacts:
         assert abs(abs(inst["eigenvalue_im"]) - inst["expected_im"]) <= 1e-8
 
 
+class TestSuite:
+    def test_exit_zero(self, suite_run):
+        assert suite_run[0] == 0
+
+    def test_rate_table_cells(self, suite_run):
+        cells = standard_suite()
+        with open(suite_run[1] / "rate_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 14
+        assert [r["name"] for r in rows] == sorted(cells)
+        for r in rows:
+            assert (int(r["p"]), int(r["m"])) == envelope_cell(cells[r["name"]])
+
+    def test_constants_match_certify(self, suite_run, tmp_path):
+        """Each row's constants are certify's on the config the suite wrote."""
+        out = suite_run[1]
+        with open(out / "rate_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for r in rows:
+            cert_out = tmp_path / r["name"]
+            assert main(["certify", "--config", str(out / "configs" / f"{r['name']}.cfg"),
+                         "--out", str(cert_out)] + SUITE_FLAGS) == 0
+            cert = json.loads((cert_out / "certificate.json").read_text())
+            for key in ("c", "c_tilde", "big_lambda"):
+                assert float(r[key]) == cert[key], (r["name"], key)
+
+    def test_degeneracy_scan(self, suite_run):
+        scan = json.loads((suite_run[1] / "suite.json").read_text())["degeneracy_scan"]
+        assert [rec["k3"] for rec in scan] == list(K3_SCAN)
+        for rec in scan:
+            if rec["stable"]:
+                assert rec["max_abscissa"] < 0.0
+            else:
+                assert rec["k3"] == unstable_reference().k2
+                assert abs(rec["norm_ratio_t100"] - 1.0) <= 1e-6
+                assert abs(abs(rec["eigenvalue_im"])
+                           - math.sqrt(unstable_reference().k2)) <= 1e-8
+        assert sum(not rec["stable"] for rec in scan) == 1
+
+    def test_stable_scan_without_gap_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "spectra",
+                            lambda cfg, grid: np.full((len(grid), 8), 1e-3 + 0j))
+        assert main(["suite", "--out", str(tmp_path / "o")] + SUITE_FLAGS) == 1
+        assert capsys.readouterr().err.startswith(
+            "verification failure: stable-case spectral gap")
+
+    def test_module_entry_point(self, tmp_path):
+        """`python -m tlab.cli` runs main and exits with its code."""
+        out = tmp_path / "o"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "tlab.cli", "suite", "--out", str(out)]
+                              + SUITE_FLAGS, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (out / "rate_table.csv").is_file() and (out / "suite.json").is_file()
+
+
 class TestDeterminism:
     def _run_twice(self, subcommand, config, tmp_path, extra=()):
+        config_flags = [] if subcommand == "suite" else ["--config", str(config)]
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            assert main([subcommand, "--config", str(config),
-                         "--out", str(out)] + _fast(extra)) == 0
+            assert main([subcommand, *config_flags, "--out", str(out)] + _fast(extra)) == 0
             outs.append(out)
         return outs
 
@@ -203,6 +301,7 @@ class TestDeterminism:
         ("predict", ["prediction.json"]),
         ("simulate-mode", ["mode.csv", "mode_summary.json"]),
         ("spectrum-scan", ["spectrum.csv", "spectrum_summary.json"]),
+        ("suite", ["rate_table.csv", "suite.json"]),
     ])
     def test_byte_identical_reruns(self, subcommand, files, stable_config, tmp_path):
         a, b = self._run_twice(subcommand, stable_config, tmp_path)
