@@ -5,9 +5,10 @@ decay, report and suite.  Each reads one --config, except suite, which takes
 none: it runs over the standard suite and writes each cell's config.  Exit
 codes: 0 pass, 1 verification failure (a named criterion did not hold), 2
 usage or configuration error, 3 numerical failure (quadrature, eigensolver
-or certificate search could not reach its tolerance, so no verdict was
-reached).  Outputs are deterministic: a fixed command line (config + flags +
-seed) yields byte-identical CSV/JSON artifacts.
+or certificate search could not reach its tolerance, or a check's margin
+lies below roundoff, so no verdict was reached).  Outputs are
+deterministic: a fixed command line (config + flags + seed) yields
+byte-identical CSV/JSON artifacts.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ class VerificationFailure(RuntimeError):
     """A named acceptance check failed; maps to exit code 1."""
 
 
+class RoundoffError(RuntimeError):
+    """A check's margin lies below the roundoff of the computation it checks;
+    maps to exit code 3."""
+
+
 def _xi_grid(args: argparse.Namespace, include_zero: bool = True) -> np.ndarray:
     return dynamics.default_xi_grid(args.xi_min, args.xi_max, args.xi_per_decade,
                                     include_zero)
@@ -55,7 +61,13 @@ def _xi_grid(args: argparse.Namespace, include_zero: bool = True) -> np.ndarray:
 
 def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
                        out: Path) -> dict:
-    """Propagate a seeded random unit mode and check energy dissipation."""
+    """Propagate a seeded random unit mode and check energy dissipation.
+
+    An energy increase beyond the 1e-10 relative tolerance fails the check,
+    unless it lies within the roundoff bound eps |A t|_1 E of the matrix
+    exponential that produced it: then the check cannot be decided in double
+    precision, and RoundoffError says so.
+    """
     rng = np.random.default_rng(args.seed)
     xi = args.xi
     if not math.isfinite(xi):
@@ -64,7 +76,8 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
     vec /= np.linalg.norm(vec)
     h = model.hermitian_energy(cfg)
     times = np.linspace(0.0, 50.0, args.times)
-    states = scipy.linalg.expm(model.generator_batch(cfg, xi) * times[:, None, None]) @ vec
+    a = model.generator_batch(cfg, xi)
+    states = scipy.linalg.expm(a * times[:, None, None]) @ vec
     rows = []
     energies = []
     for t, values in zip(times, states):
@@ -79,6 +92,15 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
                "energy_monotone": bool(monotone)}
     _write_json(out / "mode_summary.json", summary)
     if not monotone:
+        a_norm = float(np.abs(a[0]).sum(axis=0).max())
+        rise = [((b - e) / e, np.finfo(float).eps * a_norm * t, t)
+                for e, b, t in zip(energies, energies[1:], times[1:]) if b > e * (1 + 1e-10)]
+        if all(r <= bound for r, bound, _ in rise):
+            r, bound, t = max(rise)
+            raise RoundoffError(
+                f"energy dissipation at xi={xi}: relative energy increase {r:.3g} at t={t:.6g} "
+                f"against the 1e-10 tolerance lies within the expm roundoff bound "
+                f"eps |A t|_1 = {bound:.3g}")
         raise VerificationFailure("energy dissipation: mode energy increased along the trajectory")
     return summary
 
@@ -287,7 +309,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (fullline.QuadratureError, dynamics.EigensolverError,
-            lyapunov.CertificateSearchError) as exc:
+            lyapunov.CertificateSearchError, RoundoffError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (model.ConfigError, ValueError) as exc:

@@ -9,12 +9,38 @@ norms of the whole-line solution reduce to a one-dimensional quadrature
 over frequency, done for all requested times at once.  Initial data are
 per-component Gaussians (and their derivatives), which have closed-form
 transforms, L1 and Sobolev norms and make the truncation error controllable.
+
+The integrand splits into modal terms.  With B = V diag(w) V^-1 the real
+form of the generator and c = V^-1 y0,
+
+    |e^{Bt} y0|^2 = sum_kl a_kl(xi) e^{t s_kl(xi)},   a_kl = conj(c_k v_k).(c_l v_l),
+                                                    s_kl = conj(w_k) + w_l,
+
+and a_kl does not depend on how the eigenvectors are scaled.  At large t a
+term with Im s_kl != 0 turns through thousands of radians where the data
+still carry mass, which a polynomial rule must resolve oscillation by
+oscillation.  Levin collocation integrates such a term at a cost that does
+not grow with t: on a panel's Chebyshev nodes it solves
+(D + t diag(D s)) p = half a for the non-oscillating p with
+(p e^{ts})' = a e^{ts}, and the integral is p e^{ts} at hi minus at lo
+(Levin, J. Comput. Appl. Math. 1996; Olver, IMA J. Numer. Anal. 2006).
+Branches are labelled by sorting on Im w.  A term goes to Levin on a panel
+only where its phase turns by more than LEVIN_TURN and its guards hold: no
+stationary point of the phase, no branch nearly colliding with another
+(gap against rate of change, LEVIN_GAP), conjugate pairs that stay pairs
+across the panel, and every node of the panel on the eigen path (cond(V)
+within EIG_COND_MAX and the 1-norm backward error within EIG_RESID_MAX;
+other nodes go through expm).  Everything else, the integrand minus the
+Levin terms at the nodes, stays on the Clenshaw-Curtis ladder.  A Levin
+term's error estimate is the difference between Levin on the panel's 33
+nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
+NormQuadrature.errors keeps its meaning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -195,11 +221,17 @@ class InitialDatum:
 # Whole-line quadrature: adaptive panels on the nested Clenshaw-Curtis rules of
 # 33, 65 and 129 points, for all requested times at once.  A panel climbs to the
 # next rule on the nodes it already has; a panel at 129 points is bisected.
+# Modal terms whose phase turns fast on a panel are integrated by Levin
+# collocation on the panel's own 33-point nodes instead (see _panel_integral).
 EPSREL = 1e-9
 EPSABS = 1e-13
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
 EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by expm
+EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
+LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
+LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
+LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance below which a panel keeps the plain rule
 
 
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,11 +245,56 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), weights
 
 
+def _chebyshev_diff(n: int) -> np.ndarray:
+    """Differentiation matrix on the nodes cos(k pi/n), k = 0..n (Trefethen, cheb)."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.where((np.arange(n + 1) == 0) | (np.arange(n + 1) == n), 2.0, 1.0)
+    c *= (-1.0) ** np.arange(n + 1)
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dx
+    return d - np.diag(d.sum(axis=1))
+
+
 _CC_X = _clenshaw_curtis(128)[0]
 # weights of the 17-, 33-, 65- and 129-point rules, keyed by stride: the
 # (128/s + 1)-point rule sits on the nodes _CC_X[::s]
 _CC_W = {s: _clenshaw_curtis(128 // s)[1] for s in (8, 4, 2, 1)}
 _START_STRIDE = 4          # a new panel starts on the 33-point rule
+# Levin collocates on every panel's 33 nodes _CC_X[::4], checked on its 17 nodes
+_CC_D = {s: _chebyshev_diff(128 // s) for s in (8, 4)}
+
+# The modal terms of |e^{Bt} y0|^2 = sum_kl conj(u_k).u_l e^{t (conj(w_k) + w_l)}
+# with k < l; the terms with k > l are their conjugates.
+_PAIR_K, _PAIR_L = np.triu_indices(DIM, 1)
+
+
+def _term_classes(n_real: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each branch's conjugate, and one pair per class of terms with equal exponents.
+
+    Sorted by (Im w, Re w), a spectrum closed under conjugation with n_real
+    real eigenvalues has them in the middle, and the conjugate of branch k
+    is branch 7 - k, or k itself when real.  The terms (k, l), (l, k),
+    (l', k') and (k', l') then share the exponent s_kl = conj(w_k) + w_l or
+    its conjugate, so 2 Re((a_kl + a_l'k') e^{t s_kl}) carries the class
+    (2 Re(a_kl e^{t s_kl}) when (l', k') = (k, l)).  Returns the conjugate
+    map, the representative pair indices and each one's dual pair index (-1
+    when the class has no second pair).  Pairs of two real branches have a
+    real exponent and are left out.
+    """
+    idx = np.arange(DIM)
+    real = np.abs(idx - (DIM - 1) / 2) < n_real / 2
+    partner = np.where(real, idx, DIM - 1 - idx)
+    index = {(k, l): p for p, (k, l) in enumerate(zip(_PAIR_K, _PAIR_L))}
+    reps, duals = [], []
+    for p, (k, l) in enumerate(zip(_PAIR_K, _PAIR_L)):
+        dual = (partner[l], partner[k])
+        if not (real[k] and real[l]) and (k, l) <= dual:
+            reps.append(p)
+            duals.append(-1 if dual == (k, l) else index[dual])
+    return partner, np.array(reps), np.array(duals)
+
+
+_TERM_CLASSES = {n: _term_classes(n) for n in range(0, DIM + 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -229,6 +306,37 @@ class NormQuadrature:
     nodes: int           # frequency nodes evaluated, over all refinement rounds
 
 
+@dataclass(frozen=True)
+class _Nodes:
+    """The integrand at a panel's nodes, with its modal split while the panel keeps one."""
+
+    f: np.ndarray                   # (n, times) xi^{2j} |e^{Bt} y0|^2
+    w: np.ndarray | None = None     # (n, 8) eigenvalues of B, sorted by (Im, Re)
+    amp: np.ndarray | None = None   # (n, 28) xi^{2j} conj(u_k).u_l for the pairs _PAIR_K, _PAIR_L
+
+    def interleave(self, odd: "_Nodes") -> "_Nodes":
+        """These nodes at the even places, `odd` at the odd places."""
+        def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = np.empty((a.shape[0] + b.shape[0],) + a.shape[1:], dtype=a.dtype)
+            out[::2], out[1::2] = a, b
+            return out
+        if self.w is None or odd.w is None:
+            return _Nodes(merge(self.f, odd.f))
+        return _Nodes(merge(self.f, odd.f), merge(self.w, odd.w), merge(self.amp, odd.amp))
+
+
+@dataclass(frozen=True)
+class _Eigen:
+    """B(xi) = V diag(w) V^-1 at a batch of nodes, with y0 = S^-1 uhat0 and c = V^-1 y0."""
+
+    b: np.ndarray
+    y0: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    ok: np.ndarray   # passed the guards; the other nodes are propagated by expm
+
+
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
     # at large t the mass concentrates near xi = 0; breaks at (1+t)^(-e) for
     # every time let the panels resolve each scale separately
@@ -237,14 +345,12 @@ def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def _mode_norms_sq(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """|e^{A(xi) t} uhat0|^2 for every node (rows) and time (columns).
+def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
+    """One eigendecomposition of the real B = S^-1 A S per node.
 
-    With the real similarity S, |e^{At} u| = |e^{Bt} S^-1 u| for the real
-    B = S^-1 A S.  One eigendecomposition B = V diag(w) V^-1 per node serves
-    every time; nodes whose eigenvector matrix is ill-conditioned (or
-    singular) are propagated by the matrix exponential instead.
+    With the real similarity S, |e^{At} u| = |e^{Bt} y0| for y0 = S^-1 u.
+    A node whose eigenvector matrix is singular, or ill-conditioned (1-norm
+    cond(V) above EIG_COND_MAX), fails the guard and gets c = 0.
     """
     b = real_generator_batch(cfg, xi)
     y0 = uhat0 / real_similarity(cfg)
@@ -259,36 +365,171 @@ def _mode_norms_sq(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray,
             except np.linalg.LinAlgError:
                 pass
     cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    bad = np.flatnonzero(~(cond <= EIG_COND_MAX))   # NaN fails the guard too
-    vinv[bad] = 0.0   # overwritten below; keeps inf and NaN out of the batch
-    c = np.einsum("nij,nj->ni", vinv, y0)
-    y = (np.exp(w[:, None, :] * times[None, :, None]) * c[:, None, :]) @ v.transpose(0, 2, 1)
+    ok = cond <= EIG_COND_MAX   # NaN fails the guard too
+    vinv[~ok] = 0.0   # keeps inf and NaN out of the batch
+    return _Eigen(b, y0, w, v, np.einsum("nij,nj->ni", vinv, y0), ok)
+
+
+def _backward_ok(e: _Eigen, rows: np.ndarray) -> np.ndarray:
+    """|BV - V diag(w)|_1 <= EIG_RESID_MAX max(|B|_1, 1) |V|_1 at the given nodes."""
+    b, w, v = e.b[rows], e.w[rows], e.v[rows]
+    resid = np.abs(b @ v - v * w[:, None, :]).sum(axis=1).max(axis=1)
+    scale = np.maximum(np.abs(b).sum(axis=1).max(axis=1), 1.0) * np.abs(v).sum(axis=1).max(axis=1)
+    return resid <= EIG_RESID_MAX * scale
+
+
+def _mode_norms_sq(e: _Eigen, times: np.ndarray) -> np.ndarray:
+    """|e^{Bt} y0|^2 for every node (rows) and time (columns).
+
+    V (e^{wt} c) at the nodes that passed the guards serves every time; the
+    others are propagated by one stacked matrix exponential.
+    """
+    y = (np.exp(e.w[:, None, :] * times[None, :, None]) * e.c[:, None, :]) @ e.v.transpose(0, 2, 1)
     out = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
+    bad = np.flatnonzero(~e.ok)
     if bad.size:
-        prop = scipy.linalg.expm(b[bad][:, None] * times[None, :, None, None])
-        y = np.einsum("ntij,nj->nti", prop, y0[bad])
+        prop = scipy.linalg.expm(e.b[bad][:, None] * times[None, :, None, None])
+        y = np.einsum("ntij,nj->nti", prop, e.y0[bad])
         out[bad] = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
     return out
 
 
+def _amplitudes(e: _Eigen, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """conj(u_k).u_l for k < l at the given nodes, u_k = c_k v_k, branches in `order`.
+
+    |e^{Bt} y0|^2 = sum_kl conj(u_k).u_l e^{t (conj(w_k) + w_l)}; the
+    amplitudes do not depend on how the eigenvectors are scaled.
+    """
+    u = e.v[rows] * e.c[rows][:, None, :]
+    gram = u.conj().transpose(0, 2, 1) @ u
+    n = np.arange(rows.size)[:, None]
+    return gram[n, order[:, _PAIR_K], order[:, _PAIR_L]]
+
+
+def _levin(s: np.ndarray, ds: np.ndarray, a: np.ndarray, t: np.ndarray, stride: int,
+           half: float) -> np.ndarray:
+    """int_lo^hi a(x) e^{t s(x)} dx for each column, by Levin collocation.
+
+    s, its derivative ds = d/dX s in the panel coordinate X in [-1, 1], and
+    a hold each column's exponent and amplitude on the panel nodes
+    _CC_X[::stride] (hi first; stride 4 or 8); t holds each column's time.
+    The non-oscillating p with (p e^{ts})' = a e^{ts} solves
+    (D + t diag(ds)) p = half a at the nodes, D the Chebyshev
+    differentiation matrix; the integral is then p e^{ts} at hi minus at lo.
+    It is exact when a is a polynomial of degree below the node count and s
+    is linear in X.
+    """
+    d = _CC_D[stride]
+    mat = np.repeat(d[None].astype(complex), t.size, axis=0)
+    diag = np.arange(d.shape[0])
+    mat[:, diag, diag] += (t * ds).T
+    p = np.linalg.solve(mat, half * a.T[..., None])[..., 0]
+    return p[:, 0] * np.exp(t * s[0]) - p[:, -1] * np.exp(t * s[-1])
+
+
+def _levin_terms(w: np.ndarray, stride: int, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms of a panel that Levin integrates, one per (term class, time).
+
+    w holds the branches at the panel's nodes, sorted by (Im, Re).  A class
+    qualifies at a time when its phase t Im s turns by more than LEVIN_TURN
+    across the panel and Im s' keeps one sign on the Levin nodes (no
+    stationary point), while both its branches stay clear of every other
+    branch (the gap, over its rate of change across the panel, is at least
+    LEVIN_GAP half-widths) and keep, over the whole panel, the conjugate
+    _term_classes gives them at its first node (a pair of real eigenvalues
+    may turn complex inside a panel).  Returns, per term, its branches k, l
+    (exponent conj(w_k) + w_l), its pair index and its dual pair index into
+    _PAIR_K, _PAIR_L (-1 for none), and its time index.
+    """
+    partner, reps, duals = _TERM_CLASSES[int(np.count_nonzero(w[0].imag == 0.0))]
+    k, l = _PAIR_K[reps], _PAIR_L[reps]
+    dw = _CC_D[4] @ w[::4 // stride]                 # d/dX on the Levin nodes
+    gap = np.abs(w[:, :, None] - w[:, None, :]).min(axis=0)
+    np.fill_diagonal(gap, np.inf)
+    slope = np.abs(dw[:, :, None] - dw[:, None, :]).max(axis=0)
+    clear = (np.all(gap >= LEVIN_GAP * slope, axis=1)
+             & np.all(w[:, partner] == w.conj(), axis=0))
+    clear &= clear[partner]
+    ds = dw.imag[:, l] - dw.imag[:, k]
+    ok = clear[k] & clear[l] & (np.all(ds > 0.0, axis=0) | np.all(ds < 0.0, axis=0))
+    turn = np.ptp(w.imag[:, l] - w.imag[:, k], axis=0)
+    term, ti = np.nonzero(ok[:, None] & (turn[:, None] * times[None, :] > LEVIN_TURN))
+    return k[term], l[term], reps[term], duals[term], ti
+
+
+def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
+                    tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One panel's integral and error estimate per time.
+
+    The Levin terms (see _levin_terms) are integrated on the panel's 33
+    nodes, with Levin on its 17 nodes as their error estimate; the rest, the
+    integrand minus those terms at the nodes, goes to the panel's
+    Clenshaw-Curtis rule, checked against the rule of twice its stride.  At
+    a time where the panel is negligible, that is where the rule's estimate
+    plus twice the L1 mass of the Levin terms (what aliasing could hide)
+    stays within LEVIN_NEGLIGIBLE of the tolerance tol, the plain rule is
+    kept and that mass is added to its estimate.
+    """
+    f = nodes.f
+    val = half * (_CC_W[stride] @ f)
+    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2]))
+    if nodes.w is None:
+        return val, err
+    k, l, pair, dual, ti = _levin_terms(nodes.w, stride, times)
+    if not ti.size:
+        return val, err
+    t, w = times[ti], nodes.w
+    a = nodes.amp[:, pair] + np.where(dual >= 0, nodes.amp[:, dual], 0.0)
+    terms = 2.0 * a * np.exp(t * (w[:, k].conj() + w[:, l]))
+    hidden = np.zeros(times.size)
+    np.add.at(hidden, ti, 2.0 * half * (_CC_W[stride] @ np.abs(terms)))
+    plain = err + hidden <= LEVIN_NEGLIGIBLE * tol
+    err = err + np.where(plain, hidden, 0.0)
+    use = ~plain[ti]
+    if not use.any():
+        return val, err
+    k, l, a, t, ti = k[use], l[use], a[:, use], t[use], ti[use]
+    f = f.copy()
+    np.subtract.at(f.T, ti, terms[:, use].real.T)
+
+    def rule(s: int) -> np.ndarray:
+        ws = w[::s // stride]
+        dw = _CC_D[s] @ ws
+        return _levin(ws[:, k].conj() + ws[:, l], dw[:, k].conj() + dw[:, l],
+                      a[::s // stride], t, s, half)
+
+    fine, coarse = rule(4), rule(8)
+    levin = np.zeros(times.size)
+    levin_err = np.zeros(times.size)
+    np.add.at(levin, ti, 2.0 * fine.real)
+    np.add.at(levin_err, ti, 2.0 * np.abs(fine - coarse))
+    val = half * (_CC_W[stride] @ f)
+    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2])) + np.where(plain, hidden, 0.0)
+    return val + levin, err + levin_err
+
+
 def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
-            lo: np.ndarray, hi: np.ndarray, stride: np.ndarray,
-            held: list[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray, list, int]:
+            lo: np.ndarray, hi: np.ndarray, stride: np.ndarray, held: list[_Nodes | None],
+            tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, int]:
     """Per-panel integral and error estimate, shape (panels, times).
 
-    Panel k is integrated by the rule of stride[k] and checked against the
-    rule of twice that stride on every other of its nodes.  held[k], when
-    set, holds the panel's integrand on the nodes of twice its stride, so
-    only the missing nodes are evaluated.  Whole panels are propagated
-    together up to 129 new nodes at a time, which bounds the working memory.
-    Also returns each panel's integrand values while it is below 129 points
-    (None otherwise) and the number of nodes evaluated.
+    Panel k is integrated by _panel_integral on the rule of stride[k],
+    against the current tolerance tol per time (zero before the first
+    round).  held[k], when set, holds the panel's nodes of twice that
+    stride, so only the missing nodes are evaluated.  A new panel takes the modal
+    split when _levin_terms finds a term for it; a refined panel keeps the
+    split it had.  Either way the split needs every node of the panel on
+    the eigen path, and its nodes then pass the backward-error guard too.
+    Whole panels are evaluated together up to 129 new nodes at a time,
+    which bounds the working memory.  Also returns each panel's nodes while
+    it is below 129 points (None otherwise) and the number of nodes
+    evaluated.
     """
     half = 0.5 * (hi - lo)
-    fresh = [_CC_X[::s] if f is None else _CC_X[s::2 * s] for s, f in zip(stride, held)]
+    fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]
     vals = np.empty((lo.size, times.size))
     errs = np.empty((lo.size, times.size))
-    kept: list[np.ndarray | None] = []
+    kept: list[_Nodes | None] = []
     first = 0
     while first < lo.size:
         last, count = first, 0   # the next panels whose new nodes fit one batch
@@ -297,17 +538,37 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
             last += 1
         batch = range(first, last)
         xi = np.concatenate([lo[k] + half[k] * (1.0 + fresh[k]) for k in batch])
-        new = _mode_norms_sq(cfg, xi, datum.fourier(xi).T, times) * (xi ** (2 * j))[:, None]
-        parts = np.split(new, np.cumsum([fresh[k].size for k in batch])[:-1])
-        for k, part in zip(batch, parts):
-            if held[k] is None:
-                f = part
-            else:  # the held nodes are every other node of the finer rule
-                f = np.empty((2 * held[k].shape[0] - 1, times.size))
-                f[::2], f[1::2] = held[k], part
-            vals[k] = half[k] * (_CC_W[stride[k]] @ f)
-            errs[k] = np.abs(vals[k] - half[k] * (_CC_W[2 * stride[k]] @ f[::2]))
-            kept.append(f if stride[k] > 1 else None)
+        e = _eigen(cfg, xi, datum.fourier(xi).T)
+        bounds = np.cumsum([0] + [fresh[k].size for k in batch])
+        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        order = np.lexsort((e.w.real, e.w.imag))
+        w = np.take_along_axis(e.w, order, axis=1)
+        # twice the widest swing of one branch's Im bounds every term's turn
+        swing = (np.maximum.reduceat(w.imag, bounds[:-1])
+                 - np.minimum.reduceat(w.imag, bounds[:-1])).max(axis=1)
+        split = np.zeros(xi.size, dtype=bool)
+        for i, (k, rows) in enumerate(zip(batch, spans)):
+            if not e.ok[rows].all():
+                continue
+            if held[k] is not None:
+                split[rows] = held[k].w is not None
+            elif 2.0 * swing[i] * times.max() > LEVIN_TURN:
+                split[rows] = _levin_terms(w[rows], stride[k], times)[-1].size > 0
+        rows = np.flatnonzero(split)
+        weight = (xi ** (2 * j))[:, None]
+        amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
+        if rows.size:
+            ok = e.ok.copy()
+            ok[rows] &= _backward_ok(e, rows)
+            e = replace(e, ok=ok)
+            amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
+        f = _mode_norms_sq(e, times) * weight
+        for k, rows in zip(batch, spans):
+            part = (_Nodes(f[rows], w[rows], amp[rows]) if split[rows.start] and e.ok[rows].all()
+                    else _Nodes(f[rows]))
+            nodes = part if held[k] is None else held[k].interleave(part)
+            vals[k], errs[k] = _panel_integral(nodes, stride[k], half[k], times, tol)
+            kept.append(nodes if stride[k] > 1 else None)
         first = last
     return vals, errs, kept, sum(x.size for x in fresh)
 
@@ -317,13 +578,27 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     """|d^j U(t)|_{L2}^2 = (1/pi) int_0^cutoff xi^{2j} |e^{A(xi)t} Uhat0|^2 dxi, all t at once.
 
     Panels start at the breakpoints of every time, on the 33-point
-    Clenshaw-Curtis rule.  While some time's summed error estimate exceeds
-    max(EPSABS, EPSREL |value|), the panels with the largest estimates are
-    refined: a panel below 129 points moves to the next nested rule (65,
-    then 129 points), evaluating only the nodes it lacks; a 129-point panel
-    is bisected, both halves at 129 points.  Refinement also stops when the
-    node budget is spent.  Raises QuadratureError when an estimate then
-    still exceeds ACCEPT_REL |value|.
+    Clenshaw-Curtis rule.  At every node the integrand splits into modal
+    terms a_kl(xi) e^{t s_kl(xi)}, s_kl = conj(w_k) + w_l over the
+    eigenvalues w of the mode generator.  On a panel where a term's phase
+    t Im s_kl turns by more than LEVIN_TURN, that term is integrated by
+    Levin collocation on the panel's 33 nodes, unless a guard sends it
+    back: a stationary point of its phase, a branch that nearly collides
+    with another, a conjugate pair that does not stay one, or a node off
+    the eigen path.  Everything else, the integrand minus the Levin terms,
+    stays on the Clenshaw-Curtis rule.  A panel's error estimate is the
+    rule against the nested rule of half its points, plus each Levin
+    integral against Levin on the nested 17 nodes.  After the first round,
+    a panel that is negligible at some time, even counting twice the L1
+    mass of its Levin terms, keeps the plain rule there, with that mass
+    added to its estimate.  While
+    some time's summed error estimate exceeds max(EPSABS, EPSREL |value|),
+    the panels with the largest estimates are refined: a panel below 129
+    points moves to the next nested rule (65, then 129 points), evaluating
+    only the nodes it lacks; a 129-point panel is bisected, both halves at
+    129 points.  Refinement also stops when the node budget is spent.
+    Raises QuadratureError when an estimate then still exceeds
+    ACCEPT_REL |value|.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -335,7 +610,8 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
-    vals, errs, held, nodes = _panels(cfg, datum, ts, j, lo, hi, stride, [None] * lo.size)
+    vals, errs, held, nodes = _panels(cfg, datum, ts, j, lo, hi, stride, [None] * lo.size,
+                                      np.zeros(ts.size))
     while True:
         tol = np.maximum(EPSABS, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) > tol
@@ -357,7 +633,8 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         new_stride = np.concatenate([stride[up] // 2, np.ones(2 * cut.size, dtype=int)])
         new_vals, new_errs, new_held, n = _panels(cfg, datum, ts, j, new_lo, new_hi,
                                                   new_stride,
-                                                  [held[i] for i in up] + [None] * (2 * cut.size))
+                                                  [held[i] for i in up] + [None] * (2 * cut.size),
+                                                  tol)
         nodes += n
         keep = np.flatnonzero(~pick)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])

@@ -107,6 +107,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: need at least 8 points for a tail fit\n"
         assert not (out / "decay.csv").exists() and not (out / "report.json").exists()
 
+    def test_simulate_mode_roundoff_is_exit_three(self, stable_config, tmp_path, capsys):
+        """At xi = 1e4 the energy rise sits inside expm's roundoff bound
+        eps |A t|_1: no verdict, and stderr names the estimate and tolerance."""
+        assert main(["simulate-mode", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o"), "--xi", "1e4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: energy dissipation at xi=10000.0")
+        assert "1e-10 tolerance" in err and "roundoff bound" in err
+        assert err.count("\n") == 1
+
+    def test_simulate_mode_large_xi_still_passes(self, stable_config, tmp_path):
+        assert main(["simulate-mode", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o"), "--xi", "1e3"]) == 0
+
+    def test_simulate_mode_growth_is_exit_one(self, stable_config, tmp_path, monkeypatch):
+        """A generator with a growing mode raises the energy far above roundoff."""
+        from tlab import model
+        batch = model.generator_batch
+        monkeypatch.setattr(model, "generator_batch",
+                            lambda cfg, xi: batch(cfg, xi) + 0.05 * np.eye(8))
+        assert main(["simulate-mode", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o"), "--xi", "1e4"]) == 1
+
     def test_spectrum_scan_unstable_exit_zero(self, unstable_config, tmp_path):
         # the scan itself succeeds: instability is expected there, not a failure
         code = main(["spectrum-scan", "--config", str(unstable_config),
@@ -227,6 +250,15 @@ class TestArtifacts:
         assert abs(abs(inst["eigenvalue_im"]) - inst["expected_im"]) <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(standard_suite()))
+def test_decay_default_flags_every_cell(name, tmp_path):
+    """tlab decay with its default flags (31 times up to t = 1e4) passes on
+    every suite cell."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text(standard_suite()[name]))
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestSuite:
     def test_exit_zero(self, suite_run):
         assert suite_run[0] == 0
@@ -302,6 +334,7 @@ class TestDeterminism:
         ("simulate-mode", ["mode.csv", "mode_summary.json"]),
         ("spectrum-scan", ["spectrum.csv", "spectrum_summary.json"]),
         ("suite", ["rate_table.csv", "suite.json"]),
+        ("decay", ["decay.csv", "decay_summary.json"]),
     ])
     def test_byte_identical_reruns(self, subcommand, files, stable_config, tmp_path):
         a, b = self._run_twice(subcommand, stable_config, tmp_path)

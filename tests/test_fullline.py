@@ -193,11 +193,12 @@ class TestBatchedKernel:
         xi = np.concatenate(([0.0], np.logspace(-4, 1.5, 60)))
         datum = _mixed_datum()
         cells = dict(standard_suite(), unstable=unstable_reference())
-        eig_path = {name: fullline._mode_norms_sq(cfg, xi, datum.fourier(xi).T, times)
+        eig_path = {name: fullline._mode_norms_sq(fullline._eigen(cfg, xi, datum.fourier(xi).T),
+                                                  times)
                     for name, cfg in cells.items()}
         monkeypatch.setattr(fullline, "EIG_COND_MAX", -1.0)
         for name, cfg in cells.items():
-            forced = fullline._mode_norms_sq(cfg, xi, datum.fourier(xi).T, times)
+            forced = fullline._mode_norms_sq(fullline._eigen(cfg, xi, datum.fourier(xi).T), times)
             np.testing.assert_allclose(forced, eig_path[name], rtol=1e-10, atol=1e-14,
                                        err_msg=name)
 
@@ -217,7 +218,8 @@ class TestBatchedKernel:
             assert norm ** 2 == pytest.approx(sobolev_norm_sq(cfg, datum, single, 1), rel=1e-8)
 
     def test_node_budget_exhaustion_is_a_quadrature_error(self, monkeypatch):
-        monkeypatch.setattr(fullline, "NODE_BUDGET", 2000)
+        # t = 2154 alone takes 873 nodes with the Levin terms
+        monkeypatch.setattr(fullline, "NODE_BUDGET", 500)
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         with pytest.raises(fullline.QuadratureError):
@@ -261,11 +263,179 @@ class TestOrderLadder:
         assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 645
 
     def test_long_time_nodes(self):
-        """Bisected panels start at 129 points, so the ladder adds no nodes
-        on a long horizon (114,681 nodes with every panel at 129 points)."""
+        """With the oscillating modal terms on Levin, a long horizon takes a
+        few thousand nodes (1,981 measured; 112,985 on the ladder alone)."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 114_681
+        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 2_200
+
+
+def _synthetic_panel(im: np.ndarray, middle: np.ndarray | None = None) -> np.ndarray:
+    """Branches on a panel's 33 nodes, sorted by (Im, Re): the lower half
+    -0.05 + i im, the upper half their conjugates, and optionally branches
+    3 and 4 replaced by `middle`."""
+    w = -0.05 + 1j * im
+    w = np.concatenate([w, w[:, ::-1].conj()], axis=1)
+    if middle is not None:
+        w[:, 3:5] = middle
+    return np.take_along_axis(w, np.lexsort((w.real, w.imag)), axis=1)
+
+
+class TestLevin:
+    @pytest.mark.parametrize("stride", [4, 8])
+    def test_exact_for_polynomial_times_linear_exponent(self, stride):
+        """For an amplitude polynomial of degree below the node count and a
+        linear exponent, Levin equals the closed form
+        int a e^{ts} dx = [e^{ts} sum_k (-1)^k a^(k) / (t s')^(k+1)]."""
+        rng = np.random.default_rng(5)
+        half = 0.75   # the panel [2, 3.5]
+        x = fullline._CC_X[::stride]
+        cases = [(-0.3 + 1.0j, 2.0 - 40.0j, 1.0), (-1e-3 + 5.0j, -0.01 + 3.0j, 100.0),
+                 (0.2j, 5e-4 + 0.8j, 1e4), (-0.5, 0.05 + 2.0j, 200.0)]
+        s_nodes, ds, amp, ts, want = [], [], [], [], []
+        for s0, s1, t in cases:
+            p = np.polynomial.Polynomial(rng.standard_normal(x.size - 1)
+                                         + 1j * rng.standard_normal(x.size - 1))
+            s_nodes.append(s0 + s1 * x)
+            ds.append(np.full(x.size, s1))
+            amp.append(p(x))
+            ts.append(t)
+            lam = t * s1   # per unit of the panel coordinate X
+            anti = sum((-1) ** k * p.deriv(k) / lam ** (k + 1) for k in range(x.size))
+            want.append(half * (anti(1.0) * np.exp(t * (s0 + s1))
+                                - anti(-1.0) * np.exp(t * (s0 - s1))))
+        got = fullline._levin(np.array(s_nodes).T, np.array(ds).T, np.array(amp).T,
+                              np.array(ts), stride, half)
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_long_times_match_tight_ladder(self, monkeypatch):
+        """tau2-frictional-zero at t = 1e3, 1e4 against the ladder with Levin
+        switched off, run at EPSREL 1e-12 / EPSABS 1e-17."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = [1e3, 1e4]
+        got = solution_norms_sq(cfg, datum, times, 0)
+        assert np.all(got.errors <= np.maximum(fullline.EPSREL * got.values,
+                                               fullline.EPSABS / math.pi))
+        monkeypatch.setattr(fullline, "LEVIN_TURN", np.inf)
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        monkeypatch.setattr(fullline, "EPSABS", 1e-17)
+        tight = solution_norms_sq(cfg, datum, times, 0)
+        assert got.values == pytest.approx(tight.values, rel=1e-10)
+        assert got.nodes < tight.nodes / 50
+
+    def test_errors_cover_the_deviation(self, monkeypatch):
+        """Mixed datum, j = 1, on tau1-frictional-zero over default_times(31):
+        each reported error covers the distance to the ladder with Levin off
+        at EPSREL 1e-12, up to roundoff.  Plain-rule panels whose Levin terms
+        turn by 1e5 rad must count what aliasing could hide."""
+        cfg = standard_suite()["tau1-frictional-zero"]
+        times = default_times(31)
+        got = solution_norms_sq(cfg, _mixed_datum(), times, 1)
+        monkeypatch.setattr(fullline, "LEVIN_TURN", np.inf)
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        monkeypatch.setattr(fullline, "EPSABS", 1e-17)
+        tight = solution_norms_sq(cfg, _mixed_datum(), times, 1)
+        assert np.all(np.abs(got.values - tight.values)
+                      <= got.errors + tight.errors + 1e-13 * tight.values)
+
+    @pytest.mark.parametrize("name", ["tau2-type3-first-eq", "tau3-type3-first-eq",
+                                      "tau3-type3-zero"])
+    def test_colliding_branches_match_oracle(self, name):
+        """Cells whose branches meet (equal speeds, real pairs turning
+        complex) at t = 100, against per-node expm on 48 panels of
+        20-point Gauss-Legendre, enough to resolve t = 100 on [0, 8]."""
+        cfg = standard_suite()[name]
+        datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
+        times = [0.0, 100.0]
+        expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(0),
+                                               times, 0, panels=48)
+        got = solution_norms_sq(cfg, datum, times, 0)
+        assert got.values == pytest.approx(expected, rel=1e-10)
+
+    def test_default_grid_nodes(self):
+        """tau2-frictional-zero over default_times(31): at most 20,000 nodes
+        (4,005 measured; 132,295 on the ladder alone)."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        assert solution_norms_sq(cfg, datum, default_times(31), 0).nodes <= 20_000
+
+    def test_guards(self):
+        """Synthetic panels: four separated linear branches and their
+        conjugates give all 16 classes at t = 1e3 and none at t = 0; each
+        guard then removes exactly the classes it concerns."""
+        x = fullline._CC_X[::4]
+        base = np.stack([-12.0 - 3.0 * x, -8.0 - 2.0 * x, -5.0 - 1.4 * x, -3.0 - x], axis=1)
+        collide = base.copy()   # branch 1 meets branch 0 just past the panel's end
+        collide[:, 1] = base[:, 0] + 0.3 * np.sqrt(x + 1.01)
+        turning = base.copy()   # Im(w_3 - w_k) is stationary inside for k = 1, 2, 4
+        turning[:, 3] = -3.0 - x + 0.6 * x ** 2
+        r = 0.5 * np.sqrt(np.abs(x))[:, None]   # a real pair turning complex at x = 0
+        pair = np.where(x[:, None] < 0.0, -1.0 + np.hstack([-r, r]),
+                        -1.0 + 1j * np.hstack([-r, r]))
+        every = {(k, l) for k in range(8) for l in range(k + 1, 8) if k + l <= 7}
+        cases = [(_synthetic_panel(base), every),
+                 (_synthetic_panel(collide), {(2, 3), (2, 4), (2, 5), (3, 4)}),
+                 (_synthetic_panel(turning), every - {(1, 3), (2, 3), (3, 4)}),
+                 (_synthetic_panel(base, pair), {p for p in every if not {3, 4} & set(p)})]
+        for w, want in cases:
+            k, l, pair_index, dual, ti = fullline._levin_terms(w, 4, np.array([0.0, 1e3]))
+            assert np.all(ti == 1)
+            assert set(zip(k.tolist(), l.tolist())) == want
+            assert np.array_equal(dual < 0, k + l == 7)   # only (k, 7 - k) stands alone
+
+    def test_backward_error_sends_panel_to_ladder(self, monkeypatch):
+        """A perturbed eigenvalue at a node that would feed Levin fails the
+        1-norm backward-error guard: the node is propagated by expm, its
+        panel is integrated without Levin, and the norm still matches the
+        oracle."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
+        times = np.array([0.0, 100.0])
+        real_eig, target, hits = np.linalg.eig, [], []
+
+        def perturbed(b):
+            w, v = real_eig(b)
+            at = np.flatnonzero(np.isin(np.abs(b[:, 0, 1]), target))   # |B_vu| = xi
+            if at.size:
+                w = w.astype(complex)
+                w[at, 0] += 1e-3j
+                hits.extend(np.abs(b[at, 0, 1]).tolist())
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        lo, hi, start = np.array([4.0]), np.array([6.0]), np.array([4])
+        clean = fullline._panels(cfg, datum, times, 0, lo, hi, start, [None], 0 * times)
+        assert clean[2][0].w is not None   # Levin on this panel
+        target.append(5.0)                 # its middle node
+        one = fullline._panels(cfg, datum, times, 0, lo, hi, start, [None], 0 * times)
+        assert hits == [5.0] and one[2][0].w is None
+        with monkeypatch.context() as m:
+            m.setattr(fullline, "LEVIN_TURN", np.inf)
+            ladder = fullline._panels(cfg, datum, times, 0, lo, hi, start, [None], 0 * times)
+        np.testing.assert_allclose(one[0], ladder[0], rtol=1e-8)   # expm at one node
+
+        # the whole norm: perturb the first node whose modal split a clean run keeps
+        amplitudes, levin_terms, split_xi, closed = fullline._amplitudes, fullline._levin_terms, [], []
+
+        def first_split(e, rows, order):
+            split_xi.append(float(np.abs(e.b[rows[0], 0, 1])))
+            return amplitudes(e, rows, order)
+
+        def spy(w, stride, times):
+            closed.append(bool(np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))))
+            return levin_terms(w, stride, times)
+
+        target.clear()
+        monkeypatch.setattr(fullline, "_amplitudes", first_split)
+        solution_norms_sq(cfg, datum, times, 0)
+        target.append(split_xi[0])
+        hits.clear()
+        monkeypatch.setattr(fullline, "_levin_terms", spy)
+        got = solution_norms_sq(cfg, datum, times, 0).values
+        assert hits and not all(closed)   # the perturbed node reached the Levin selection ...
+        assert got == pytest.approx(oracles.plancherel_norms_sq(   # ... and went to expm
+            cfg, datum.fourier, datum.tail_cutoff(0), times, 0, panels=48), rel=1e-10)
 
 
 class TestTailFit:
