@@ -14,6 +14,7 @@ byte-identical CSV/JSON artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,8 +41,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: str, rows: list[list[float]]) -> None:
+    """One line per row, each value as _fmt writes it: one %-format per row
+    (%g converts through float(), as _fmt does)."""
+    row_fmt = ",".join(["%.17g"] * (header.count(",") + 1))
     lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -318,7 +322,9 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="tlab",
         description="Spectral verification lab for laminated thermoelastic beams",

@@ -33,6 +33,21 @@ def hermitian_from_terms(terms: Iterable[Term], shape: tuple[int, ...] = ()) -> 
     return m
 
 
+def add_weighted_terms(m: np.ndarray, terms: Iterable[Term],
+                       weight: float | np.ndarray) -> None:
+    """m += weight * hermitian_from_terms(terms), in place, touching only the
+    slots the terms reach.  Each slot sums its halves in term order before
+    the weight multiplies, as the dense construction does, so a stack that
+    starts from zeros ends bitwise equal to the sum of the dense terms."""
+    slots: dict[tuple[int, int], complex | np.ndarray] = {}
+    for coeff, a, b in terms:
+        for slot, half in (((b, a), 0.5 * coeff), ((a, b), 0.5 * np.conj(coeff))):
+            slots[slot] = slots[slot] + half if slot in slots else half
+    weight = np.asarray(weight)
+    for (i, j), value in slots.items():
+        m[..., i, j] += weight * value
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*)/2, for one matrix or a stack of them."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))

@@ -35,7 +35,7 @@ from tlab import envelope as _envelope
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid
 from tlab.envelope import UnstableCaseError
-from tlab.forms import DIM, HermitianForm, hermitian_part
+from tlab.forms import DIM, HermitianForm, add_weighted_terms, hermitian_part
 from tlab.model import (
     CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
 )
@@ -308,10 +308,13 @@ def _f_part_matrix(cfg: SystemConfig, params: LyapunovParams,
         return _SWAP @ _f_part_matrix(image, replace(params, case=case_name(image)), xi) @ _SWAP
     x = np.asarray(xi, dtype=float)
     recipe, q = functional_recipe(cfg, params, x)
-    # sum_i w_i W_i(xi), accumulated in one running stack of shape(xi) + (8, 8)
+    # sum_i w_i W_i(xi), accumulated in one running stack of shape(xi) + (8, 8);
+    # each W_i is one monomial, so it adds into its two slots directly
     f = np.zeros(x.shape + (DIM, DIM), dtype=complex)
     for weight, name in recipe:
-        f += np.asarray(weight)[..., None, None] * _ids.get(name).w_matrix(cfg, x)
+        entry = _ids.get(name)
+        entry.require(cfg)
+        add_weighted_terms(f, entry.w_terms(cfg, x), weight)
     return (x ** q)[..., None, None] * f
 
 
@@ -334,9 +337,11 @@ def certify(
 
     lambda doubles from 1 until at every grid xi the drift of L is dominated
     by -c f(xi) Ehat for some c in (0, 1] and L is equivalent to the energy
-    (c3 > 0).  For each lambda, one stacked eigvalsh gives the largest such
-    c at every xi in closed form (H is diagonal and positive); c is then
-    bisected against its minimum over the grid to three significant digits.
+    (c3 > 0).  For each lambda with c3 > 0, one stacked eigvalsh gives the
+    largest such c at every xi in closed form (H is diagonal and positive); a
+    lambda with c3 <= 0 is doubled without it.  c is then bisected against
+    its minimum over the grid to three significant digits.  One more stacked
+    eigvalsh gives the equivalence bounds and one the final margin.
     """
     if xi_grid is None:
         xi_grid = default_xi_grid()
@@ -388,11 +393,13 @@ def certify(
 
     lam = 1.0
     c_floor = 1e-9
+    gen_min = float(np.min(gen_eigs[:, 0]))
     while True:
-        c_star = c_threshold(lam)
-        c3_cand = lam + float(np.min(gen_eigs[:, 0]))
-        if c_floor <= c_star and c3_cand > 0:
-            break
+        # no lambda with c3 <= 0 is accepted, so its threshold is not needed
+        if lam + gen_min > 0:
+            c_star = c_threshold(lam)
+            if c_floor <= c_star:
+                break
         lam *= 2.0
         if lam > LAMBDA_CAP:
             m, worst = max_margin(LAMBDA_CAP, c_floor)
@@ -415,7 +422,7 @@ def certify(
         c = lo
 
     margin, worst_xi = max_margin(lam, c)
-    c3 = lam + float(np.min(gen_eigs[:, 0]))
+    c3 = lam + gen_min
     c4 = lam + float(np.max(gen_eigs[:, 1]))
     c_tilde = c4 * cfg.alpha2 / (c3 * cfg.alpha1)
     # drift bound dL/dt <= -c1 f Ehat with c3 E <= L <= c4 E gives the

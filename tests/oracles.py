@@ -7,18 +7,21 @@ in tlab.model; agreement between the two is the point of the tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
 from tlab import envelope
+from tlab import identities as ids
 from tlab.dynamics import default_xi_grid
-from tlab.forms import hermitian_part
+from tlab.forms import DIM, hermitian_from_terms, hermitian_part
 from tlab.lyapunov import (
-    LAMBDA_CAP, NEG_TOL_FACTOR, CertificateSearchError, DecayCertificate, _f_part_matrix,
-    select_lambdas,
+    _SWAP, LAMBDA_CAP, NEG_TOL_FACTOR, CertificateSearchError, DecayCertificate, LyapunovParams,
+    _f_part_matrix, _tau2_image, case_name, functional_recipe, select_lambdas,
 )
-from tlab.model import Coupling, Damping, SystemConfig, generator_batch, hermitian_energy
+from tlab.model import Coupling, Damping, SystemConfig, Tau, generator_batch, hermitian_energy
 
 
 def mode_rhs(cfg: SystemConfig, xi: float, s: np.ndarray) -> np.ndarray:
@@ -104,6 +107,21 @@ def plancherel_norms_sq(cfg: SystemConfig, fourier, cutoff: float,
                 vec = scipy.linalg.expm(a * t) @ u0
                 totals[i] += wk * xk ** (2 * j) * float(np.real(vec.conj() @ vec))
     return [v / np.pi for v in totals]
+
+
+def f_part_dense(cfg: SystemConfig, params: LyapunovParams, xi) -> np.ndarray:
+    """lyapunov._f_part_matrix as a sum of dense stacks: every identity's W is
+    built in full by hermitian_from_terms, scaled by its weight and added."""
+    if cfg.tau is Tau.TAU3:
+        image = _tau2_image(cfg)
+        return _SWAP @ f_part_dense(image, replace(params, case=case_name(image)), xi) @ _SWAP
+    x = np.asarray(xi, dtype=float)
+    recipe, q = functional_recipe(cfg, params, x)
+    f = np.zeros(x.shape + (DIM, DIM), dtype=complex)
+    for weight, name in recipe:
+        w = hermitian_from_terms(ids.get(name).w_terms(cfg, x), x.shape)
+        f += np.asarray(weight)[..., None, None] * w
+    return (x ** q)[..., None, None] * f
 
 
 def certify_by_bisection(cfg: SystemConfig) -> DecayCertificate:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlab import dynamics, fullline
+from tlab import cli, dynamics, fullline
 from tlab.cli import K3_SCAN, main
 from tlab.envelope import envelope_cell
 from tlab.model import ModeState, config_text, hermitian_energy
@@ -315,6 +315,31 @@ class TestSuite:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (out / "rate_table.csv").is_file() and (out / "suite.json").is_file()
+
+
+class TestWriters:
+    def test_csv_rows_match_per_value_format(self, tmp_path):
+        rows = [
+            [math.nan, math.inf, -math.inf, -0.0],
+            [5e-324, 1.7976931348623157e308, 3, -12],
+            [np.float64(0.1), True, 2 ** 60 + 1, np.float64(-2.5e-300)],
+        ]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, "a,b,c,d", rows)
+        want = ["a,b,c,d"] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+        assert path.read_text() == "\n".join(want) + "\n"
+        assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, stable_config, tmp_path,
+                                                     monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda args: seen.append(vars(args).copy()) or 0)
+        base = ["simulate-mode", "--config", str(stable_config), "--out", str(tmp_path)]
+        assert main(base + ["--xi", "7.3", "--seed", "5"]) == 0
+        assert main(base) == 0
+        assert cli._build_parser() is cli._build_parser()
+        assert (seen[0]["xi"], seen[0]["seed"]) == (7.3, 5)
+        assert (seen[1]["xi"], seen[1]["seed"]) == (1.0, 0)
 
 
 class TestDeterminism:

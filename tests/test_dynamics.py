@@ -9,12 +9,14 @@ import oracles
 from tlab.dynamics import (
     CaseMismatchError, EigensolverError, NoImaginaryEigenvalueError,
     characteristic_det_chi0, default_xi_grid, nondecay_witness, propagate,
-    spectra, spectral_abscissa_scan, spectrum,
+    spectra, spectrum,
 )
-from tlab.model import ModeState, Tau, assemble_generator
+from tlab.model import (
+    ModeState, Tau, assemble_generator, parse_config_text, real_generator_batch,
+)
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import random_config, random_state
+from conftest import SCAN_ROUNDOFF, random_config, random_state
 
 
 class TestPropagate:
@@ -126,6 +128,49 @@ class TestBatchedSpectra:
         with pytest.raises(EigensolverError, match="at xi=0.7"):
             spectra(cfg, grid)
 
+    @staticmethod
+    def _count_svd(monkeypatch) -> list:
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_residual_between_frobenius_and_exact_limit_passes(self, monkeypatch):
+        """A residual above 1e-10 |B|_F/sqrt(8) but below 1e-10 |B|_2 fails
+        the cheap test, reaches the singular values and passes."""
+        cfg = standard_suite()["tau1-type3-first"]
+        grid = np.array([0.7, 3.0])
+        b = real_generator_batch(cfg, grid)[1]
+        cheap = 1e-10 * max(np.linalg.norm(b) / math.sqrt(8), 1.0)
+        exact = 1e-10 * max(np.linalg.norm(b, 2), 1.0)
+        assert exact > 1.5 * cheap
+        shift = 0.5 * (cheap + exact)
+        real_eig = np.linalg.eig
+
+        def perturbed(m):
+            w, v = real_eig(m)
+            w = w.astype(complex)
+            w[1, 0] += shift
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        calls = self._count_svd(monkeypatch)
+        eigs = spectra(cfg, grid)
+        assert len(calls) == 1
+        assert eigs.shape == (2, 8)
+
+    @pytest.mark.parametrize("name", sorted(standard_suite()) + ["scan-roundoff", "unstable"])
+    def test_clean_grid_takes_no_singular_values(self, name, monkeypatch):
+        cells = {**standard_suite(), "scan-roundoff": parse_config_text(SCAN_ROUNDOFF),
+                 "unstable": unstable_reference()}
+        calls = self._count_svd(monkeypatch)
+        spectra(cells[name], default_xi_grid())
+        assert calls == []
+
     def test_rejects_bad_grid(self, rng):
         cfg = random_config(rng)
         with pytest.raises(ValueError):
@@ -149,17 +194,17 @@ class TestScanAndGrid:
     def test_scan_matches_pointwise(self, rng):
         cfg = random_config(rng)
         grid = [0.0, 0.3, 1.0, 3.0]
-        scan = spectral_abscissa_scan(cfg, grid)
-        assert [xi for xi, _ in scan] == grid
-        for xi, absc in scan:
+        scan = spectra(cfg, grid).real.max(axis=1)
+        assert scan.shape == (len(grid),)
+        for xi, absc in zip(grid, scan):
             assert absc == pytest.approx(spectrum(cfg, xi).abscissa)
 
     def test_scan_rejects_bad_grid(self, rng):
         cfg = random_config(rng)
         with pytest.raises(ValueError):
-            spectral_abscissa_scan(cfg, [])
+            spectra(cfg, [])
         with pytest.raises(ValueError):
-            spectral_abscissa_scan(cfg, [0.0, math.nan])
+            spectra(cfg, [0.0, math.nan])
 
 
 class TestClosedFormDeterminant:

@@ -6,10 +6,10 @@ import pytest
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
-from tlab.forms import DIM, ETA, hermitian_part
+from tlab.forms import DIM, ETA, add_weighted_terms, hermitian_from_terms, hermitian_part
 from tlab.lyapunov import (
-    _SWAP, NEG_TOL_FACTOR, CertificateSearchError, UnstableCaseError, _tau2_image,
-    case_name, certify, functional_form, functional_recipe, select_lambdas,
+    _SWAP, NEG_TOL_FACTOR, CertificateSearchError, UnstableCaseError, _f_part_matrix,
+    _tau2_image, case_name, certify, functional_form, functional_recipe, select_lambdas,
 )
 from tlab.model import (
     Coupling, Damping, ModeState, SystemConfig, Tau, assemble_generator,
@@ -216,7 +216,7 @@ class TestRateThreshold:
 
     def test_eigvalsh_calls(self, monkeypatch):
         """One stacked eigvalsh for the equivalence bounds, one per lambda
-        tried, and the final margin: the doublings plus 3."""
+        tried with c3 = lambda + min gen_eigs > 0, and the final margin."""
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counted(*args, **kwargs):
@@ -224,10 +224,56 @@ class TestRateThreshold:
             return eigvalsh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        skipped = 0
         for name, cfg in standard_suite().items():
             calls.clear()
             cert = certify(cfg)
-            assert len(calls) <= round(math.log2(cert.big_lambda)) + 3, name
+            gen_min = cert.c3 - cert.big_lambda
+            tried = [2.0 ** k for k in range(round(math.log2(cert.big_lambda)) + 1)]
+            with_c3 = sum(lam + gen_min > 0 for lam in tried)
+            assert len(calls) == with_c3 + 2, name
+            skipped += len(tried) - with_c3
+        assert skipped > 0
+
+
+class TestDirectAssembly:
+    """_f_part_matrix adds each identity's monomial into the running stack;
+    the result is bitwise the dense sum of weighted hermitian_from_terms."""
+
+    @staticmethod
+    def _cells() -> dict[str, SystemConfig]:
+        cells = dict(standard_suite())
+        rng = np.random.default_rng(2718)
+        while len(cells) < 34:
+            cfg = random_config(rng)
+            if cfg.stable:
+                cells[f"random-{len(cells) - 14}"] = cfg
+        return cells
+
+    def test_weighted_terms_match_dense_stack(self, rng):
+        """Diagonal monomials and several monomials on one slot, which the
+        catalog W never has, still add bitwise as the dense stack does."""
+        n = 50
+        coeff = lambda: rng.normal(size=n) + 1j * rng.normal(size=n)  # noqa: E731
+        terms = [(coeff(), 2, 2), (coeff(), 1, 5), (coeff(), 5, 1), (rng.normal(size=n), 1, 5),
+                 (0.7 - 0.2j, 3, 3), (coeff(), 2, 2)]
+        weight = rng.normal(size=n)
+        start = rng.normal(size=(n, DIM, DIM)) + 1j * rng.normal(size=(n, DIM, DIM))
+        got = start.copy()
+        add_weighted_terms(got, terms, weight)
+        want = start + weight[:, None, None] * hermitian_from_terms(terms, (n,))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("xi", [0.37, 61.0, "grid", "2d"])
+    def test_bitwise_equal_to_dense_sum(self, xi):
+        x = {"grid": default_xi_grid()[1:],
+             "2d": np.array([[1e-4, 0.5], [7.3, 1e4]])}.get(xi, xi)
+        for name, cfg in self._cells().items():
+            params = select_lambdas(cfg)
+            got = _f_part_matrix(cfg, params, x)
+            want = oracles.f_part_dense(cfg, params, x)
+            assert got.shape == want.shape == np.shape(x) + (DIM, DIM), name
+            assert np.array_equal(got, want), name
 
 
 class TestSwapSymmetry:
