@@ -176,6 +176,14 @@ def _default_datum() -> fullline.InitialDatum:
         model.V, fullline.Gaussian(amplitude=1.0, width=1.0))
 
 
+def _write_diagnostics(out: Path, times: list[float], quad: fullline.NormQuadrature) -> None:
+    """diagnostics.json: the whole-line quadrature's node count and, per
+    time, its error estimate for |d^j U(t)|_{L2}^2."""
+    _write_json(out / "diagnostics.json", {"quadrature": {
+        "nodes": quad.nodes, "times": [float(t) for t in times],
+        "errors": quad.errors.tolist()}})
+
+
 def _cmd_decay(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> dict:
     if not cfg.stable:
         raise VerificationFailure(
@@ -194,6 +202,7 @@ def _cmd_decay(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> 
     if "note" in report:
         summary["note"] = report["note"]
     _write_json(out / "decay_summary.json", summary)
+    _write_diagnostics(out, times, report["quadrature"])
     if not report["pass"]:
         raise VerificationFailure(
             "decay bound: envelope ratio unbounded or growing on the tail")
@@ -239,6 +248,7 @@ def _cmd_report(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) ->
     report["decay"] = {"c0": decay["c0"], "tail_slope": decay["ratio_tail_slope"],
                        "pass": decay["pass"]}
     _write_json(out / "report.json", report)
+    _write_diagnostics(out, times, decay["quadrature"])
     if not decay["pass"]:
         raise VerificationFailure("report: decay bound failed")
     return report

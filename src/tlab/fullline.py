@@ -338,11 +338,18 @@ class _Eigen:
 
 
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
-    # at large t the mass concentrates near xi = 0; breaks at (1+t)^(-e) for
-    # every time let the panels resolve each scale separately
-    pts = {0.0, cutoff} | ({1.0} if cutoff > 1.0 else set())
-    pts |= {min(cutoff * 0.5, (1.0 + t) ** (-e)) for t in times for e in (0.5, 1 / 4, 1 / 6)}
-    return np.array(sorted(pts))
+    """The first round's panel edges: 0, the dyadic points 2^-k >= (1+t_max)^(-1/2)
+    below the cutoff, 1 when the cutoff is above it, and the cutoff.
+
+    At time t the mass concentrates on xi ~ t^(-1/p), p = 2, 4 or 6; the
+    grading by 2 toward 0 meets each of those scales within a factor of 2
+    for every time up to t_max, so the layout depends on the times only
+    through t_max.  The ladder and Levin refine from there.
+    """
+    levels = np.arange(1, int(0.5 * math.log2(1.0 + times.max())) + 1)
+    dyadic = 2.0 ** -levels[::-1]
+    return np.concatenate(([0.0], dyadic[dyadic < cutoff], [1.0] if cutoff > 1.0 else [],
+                           [cutoff]))
 
 
 def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
@@ -458,11 +465,13 @@ def _levin_terms(w: np.ndarray, stride: int, times: np.ndarray) -> tuple[np.ndar
 
 
 def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
-                    tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    tol: np.ndarray, terms: tuple[np.ndarray, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """One panel's integral and error estimate per time.
 
-    The Levin terms (see _levin_terms) are integrated on the panel's 33
-    nodes, with Levin on its 17 nodes as their error estimate; the rest, the
+    The Levin terms (_levin_terms of the nodes' branches, or `terms` when
+    the caller has them already) are integrated on the panel's 33 nodes,
+    with Levin on its 17 nodes as their error estimate; the rest, the
     integrand minus those terms at the nodes, goes to the panel's
     Clenshaw-Curtis rule, checked against the rule of twice its stride.  At
     a time where the panel is negligible, that is where the rule's estimate
@@ -475,7 +484,7 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
     err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2]))
     if nodes.w is None:
         return val, err
-    k, l, pair, dual, ti = _levin_terms(nodes.w, stride, times)
+    k, l, pair, dual, ti = _levin_terms(nodes.w, stride, times) if terms is None else terms
     if not ti.size:
         return val, err
     t, w = times[ti], nodes.w
@@ -547,13 +556,15 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
         swing = (np.maximum.reduceat(w.imag, bounds[:-1])
                  - np.minimum.reduceat(w.imag, bounds[:-1])).max(axis=1)
         split = np.zeros(xi.size, dtype=bool)
+        terms: dict[int, tuple[np.ndarray, ...]] = {}   # a new panel's Levin terms
         for i, (k, rows) in enumerate(zip(batch, spans)):
             if not e.ok[rows].all():
                 continue
             if held[k] is not None:
                 split[rows] = held[k].w is not None
             elif 2.0 * swing[i] * times.max() > LEVIN_TURN:
-                split[rows] = _levin_terms(w[rows], stride[k], times)[-1].size > 0
+                terms[k] = _levin_terms(w[rows], stride[k], times)
+                split[rows] = terms[k][-1].size > 0
         rows = np.flatnonzero(split)
         weight = (xi ** (2 * j))[:, None]
         amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
@@ -567,42 +578,57 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
             part = (_Nodes(f[rows], w[rows], amp[rows]) if split[rows.start] and e.ok[rows].all()
                     else _Nodes(f[rows]))
             nodes = part if held[k] is None else held[k].interleave(part)
-            vals[k], errs[k] = _panel_integral(nodes, stride[k], half[k], times, tol)
+            vals[k], errs[k] = _panel_integral(nodes, stride[k], half[k], times, tol,
+                                               terms.get(k))
             kept.append(nodes if stride[k] > 1 else None)
         first = last
     return vals, errs, kept, sum(x.size for x in fresh)
+
+
+def _time_grid(times: Sequence[float]) -> np.ndarray:
+    """The requested times as a flat float array; ValueError unless it is a
+    nonempty list of finite, nonnegative times."""
+    ts = np.asarray(times, dtype=float).reshape(-1)
+    if ts.size == 0:
+        raise ValueError("times must not be empty")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"times must be finite, got {float(ts[~np.isfinite(ts)][0])}")
+    if np.any(ts < 0.0):
+        raise ValueError(f"times must be nonnegative, got {float(ts[ts < 0.0][0])}")
+    return ts
 
 
 def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[float],
                       j: int) -> NormQuadrature:
     """|d^j U(t)|_{L2}^2 = (1/pi) int_0^cutoff xi^{2j} |e^{A(xi)t} Uhat0|^2 dxi, all t at once.
 
-    Panels start at the breakpoints of every time, on the 33-point
-    Clenshaw-Curtis rule.  At every node the integrand splits into modal
-    terms a_kl(xi) e^{t s_kl(xi)}, s_kl = conj(w_k) + w_l over the
-    eigenvalues w of the mode generator.  On a panel where a term's phase
-    t Im s_kl turns by more than LEVIN_TURN, that term is integrated by
-    Levin collocation on the panel's 33 nodes, unless a guard sends it
-    back: a stationary point of its phase, a branch that nearly collides
-    with another, a conjugate pair that does not stay one, or a node off
-    the eigen path.  Everything else, the integrand minus the Levin terms,
-    stays on the Clenshaw-Curtis rule.  A panel's error estimate is the
-    rule against the nested rule of half its points, plus each Levin
-    integral against Levin on the nested 17 nodes.  After the first round,
-    a panel that is negligible at some time, even counting twice the L1
-    mass of its Levin terms, keeps the plain rule there, with that mass
-    added to its estimate.  While
-    some time's summed error estimate exceeds max(EPSABS, EPSREL |value|),
-    the panels with the largest estimates are refined: a panel below 129
-    points moves to the next nested rule (65, then 129 points), evaluating
-    only the nodes it lacks; a 129-point panel is bisected, both halves at
-    129 points.  Refinement also stops when the node budget is spent.
-    Raises QuadratureError when an estimate then still exceeds
-    ACCEPT_REL |value|.
+    The times must be a nonempty list of finite, nonnegative numbers
+    (ValueError otherwise, before any node is evaluated).  Panels start on
+    the 33-point Clenshaw-Curtis rule at the graded layout of _breakpoints,
+    which depends on the times only through the largest.  At every node the
+    integrand splits into modal terms a_kl(xi) e^{t s_kl(xi)}, s_kl =
+    conj(w_k) + w_l over the eigenvalues w of the mode generator.  On a
+    panel where a term's phase t Im s_kl turns by more than LEVIN_TURN, that
+    term is integrated by Levin collocation on the panel's 33 nodes, unless
+    a guard sends it back: a stationary point of its phase, a branch that
+    nearly collides with another, a conjugate pair that does not stay one,
+    or a node off the eigen path.  Everything else, the integrand minus the
+    Levin terms, stays on the Clenshaw-Curtis rule.  A panel's error
+    estimate is the rule against the nested rule of half its points, plus
+    each Levin integral against Levin on the nested 17 nodes.  After the
+    first round, a panel that is negligible at some time, even counting
+    twice the L1 mass of its Levin terms, keeps the plain rule there, with
+    that mass added to its estimate.  While some time's summed error
+    estimate exceeds max(EPSABS, EPSREL |value|), the panels with the
+    largest estimates are refined: a panel below 129 points moves to the
+    next nested rule (65, then 129 points), evaluating only the nodes it
+    lacks; a 129-point panel is bisected, both halves at 129 points.
+    Refinement also stops when the node budget is spent.  Raises
+    QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    ts = np.asarray(times, dtype=float).reshape(-1)
+    ts = _time_grid(times)
     cutoff = datum.tail_cutoff(j)
     if cutoff == 0.0:
         return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), 0)
@@ -662,11 +688,16 @@ def decay_series(
     cfg: SystemConfig, datum: InitialDatum, times: Sequence[float], j: int
 ) -> list[tuple[float, float]]:
     """(t, |d^j U(t)|_{L2}) at each requested time, in order."""
-    ts = [float(t) for t in times]
-    if any(t < 0 for t in ts) or ts != sorted(ts):
-        raise ValueError("times must be sorted and nonnegative")
+    ts = _sorted_times(times)
     values = solution_norms_sq(cfg, datum, ts, j).values
     return [(t, math.sqrt(v)) for t, v in zip(ts, values)]
+
+
+def _sorted_times(times: Sequence[float]) -> list[float]:
+    ts = _time_grid(times).tolist()
+    if ts != sorted(ts):
+        raise ValueError("times must be sorted")
+    return ts
 
 
 def default_times(n: int = 31, t_max: float = 1e4) -> list[float]:
@@ -713,7 +744,8 @@ def verify_theorem_bound(
     c/(2(m+1)) from the certificate.  Passes iff c0 = max ratio is finite
     and the log-ratio has no upward tail trend (slope <= 0.05).  A grid of
     fewer than MIN_FIT_POINTS times raises ValueError before any norm is
-    computed.
+    computed.  The report keeps the NormQuadrature of the norms under
+    "quadrature".
     """
     if times is None:
         times = default_times()
@@ -740,9 +772,11 @@ def verify_theorem_bound(
         def branch(t: float) -> float:
             return (1.0 + t) ** (-high)
 
-    series = decay_series(cfg, datum, times, j)
+    ts = _sorted_times(times)
+    quad = solution_norms_sq(cfg, datum, ts, j)
     rows = []
-    for t, norm in series:
+    for t, norm_sq in zip(ts, quad.values):
+        norm = math.sqrt(norm_sq)
         env = (1.0 + t) ** (-low) * l1 + branch(t) * high_norm
         rows.append((t, norm, env, norm / env))
 
@@ -764,6 +798,7 @@ def verify_theorem_bound(
         "pass": bool(ok),
         "rows": rows,
         "predicted_low": low,
+        "quadrature": quad,
     }
     if bounded_only:
         report["note"] = "boundedness check only (j = ell = 0 in a regularity-loss cell)"

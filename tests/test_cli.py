@@ -83,7 +83,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise fullline.QuadratureError("error 1e-3 vs value 1e-2 at t=2154.4")
 
-        monkeypatch.setattr(fullline, "decay_series", fail)
+        monkeypatch.setattr(fullline, "solution_norms_sq", fail)
         assert main(["decay", "--config", str(stable_config),
                      "--out", str(tmp_path / "o")] + _fast()) == 3
         err = capsys.readouterr().err
@@ -240,6 +240,20 @@ class TestArtifacts:
                      "--xi-per-decade", "10"]) == 0
         assert json.loads((out / "report.json").read_text())["decay"]["pass"] is True
 
+    def test_decay_and_report_diagnostics(self, stable_config, tmp_path):
+        """decay and report write the node count and the per-time error
+        estimates of the whole-line quadrature behind the decay check."""
+        times = fullline.default_times(12)
+        quad = fullline.solution_norms_sq(standard_suite()["tau1-type3-first"],
+                                          cli._default_datum(), times, 0)
+        want = {"quadrature": {"nodes": quad.nodes, "times": [float(t) for t in times],
+                               "errors": quad.errors.tolist()}}
+        for subcommand in ("decay", "report"):
+            out = tmp_path / subcommand
+            assert main([subcommand, "--config", str(stable_config),
+                         "--out", str(out)] + _fast()) == 0
+            assert json.loads((out / "diagnostics.json").read_text()) == want
+
     def test_report_unstable_witness(self, unstable_config, tmp_path):
         out = tmp_path / "o"
         assert main(["report", "--config", str(unstable_config),
@@ -359,7 +373,7 @@ class TestDeterminism:
         ("simulate-mode", ["mode.csv", "mode_summary.json"]),
         ("spectrum-scan", ["spectrum.csv", "spectrum_summary.json"]),
         ("suite", ["rate_table.csv", "suite.json"]),
-        ("decay", ["decay.csv", "decay_summary.json"]),
+        ("decay", ["decay.csv", "decay_summary.json", "diagnostics.json"]),
     ])
     def test_byte_identical_reruns(self, subcommand, files, stable_config, tmp_path):
         a, b = self._run_twice(subcommand, stable_config, tmp_path)

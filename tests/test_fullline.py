@@ -148,6 +148,25 @@ class TestSolutionNorms:
         with pytest.raises(ValueError):
             decay_series(cfg, datum, [1.0, 0.5], 0)
 
+    @pytest.mark.parametrize("times,message", [
+        ([], "times must not be empty"),
+        ([0.0, -0.5], "times must be nonnegative, got -0.5"),
+        ([1.0, math.nan], "times must be finite, got nan"),
+        ([math.inf], "times must be finite, got inf"),
+        ([0.0, -math.inf], "times must be finite, got -inf"),
+    ])
+    def test_bad_time_grid_rejected_before_any_node(self, times, message, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("node evaluated")
+
+        monkeypatch.setattr(fullline, "_eigen", fail)
+        cfg = standard_suite()["tau1-type3-first"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solution_norms_sq(cfg, datum, times, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decay_series(cfg, datum, times, 0)
+
     def test_default_times(self):
         ts = default_times(11, 1e2)
         assert ts[0] == 0.0
@@ -218,7 +237,7 @@ class TestBatchedKernel:
             assert norm ** 2 == pytest.approx(sobolev_norm_sq(cfg, datum, single, 1), rel=1e-8)
 
     def test_node_budget_exhaustion_is_a_quadrature_error(self, monkeypatch):
-        # t = 2154 alone takes 873 nodes with the Levin terms
+        # t = 2154 alone takes 875 nodes with the Levin terms
         monkeypatch.setattr(fullline, "NODE_BUDGET", 500)
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
@@ -257,17 +276,68 @@ class TestOrderLadder:
             assert got == pytest.approx(expected, rel=1e-8), (cfg, j, times)
 
     def test_short_time_nodes(self):
-        """A smooth short-time integrand settles on the lower rules: at most
-        half the 1290 nodes of ten 129-point panels."""
+        """A smooth short-time integrand settles on the lower rules of its
+        three first panels (453 nodes measured)."""
         cfg = standard_suite()["tau2-type3-first"]
-        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 645
+        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 500
 
     def test_long_time_nodes(self):
-        """With the oscillating modal terms on Levin, a long horizon takes a
-        few thousand nodes (1,981 measured; 112,985 on the ladder alone)."""
+        """With the oscillating modal terms on Levin, a long horizon takes
+        under 1,500 nodes (1,358 measured; 112,985 on the ladder alone)."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 2_200
+        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 1_500
+
+
+class TestLayout:
+    @pytest.mark.parametrize("cutoff", [0.3, 1.0, 16.0])
+    def test_depends_on_times_only_through_t_max(self, cutoff):
+        """Permuting the times, repeating one or adding a smaller one leaves
+        the first panels as they are."""
+        times = np.array([0.0, 3.7, 1e4, 52.0])
+        edges = fullline._breakpoints(cutoff, times)
+        for other in (times[::-1], np.append(times, 52.0), np.append(times, 0.25),
+                      np.array([1e4])):
+            np.testing.assert_array_equal(fullline._breakpoints(cutoff, other), edges)
+
+    @pytest.mark.parametrize("t_max", [0.0, 0.5, 3.0, 10.0, 463.0, 1e4])
+    def test_graded_by_two_down_to_the_slowest_scale(self, t_max):
+        """0, then 2^-k for every 2^-k >= (1+t_max)^(-1/2), then 1 and the
+        cutoff, increasing."""
+        cutoff = 16.0
+        edges = fullline._breakpoints(cutoff, np.array([0.0, t_max]))
+        assert edges[0] == 0.0 and edges[-2:].tolist() == [1.0, cutoff]
+        assert np.all(np.diff(edges) > 0.0)
+        scale = (1.0 + t_max) ** -0.5
+        assert edges[1:-2].tolist() == [2.0 ** -k for k in range(20, 0, -1)
+                                         if 2.0 ** -k >= scale]
+
+    def test_cutoff_at_or_below_one(self):
+        """The cutoff closes the layout; no edge reaches past it."""
+        times = np.array([1e4])
+        assert fullline._breakpoints(1.0, times).tolist() == [
+            0.0, 2.0 ** -6, 2.0 ** -5, 2.0 ** -4, 2.0 ** -3, 2.0 ** -2, 0.5, 1.0]
+        assert fullline._breakpoints(0.3, times).tolist() == [
+            0.0, 2.0 ** -6, 2.0 ** -5, 2.0 ** -4, 2.0 ** -3, 2.0 ** -2, 0.3]
+
+    def test_decay_cells_errors_cover_a_tighter_run(self, monkeypatch):
+        """The four cells of a long decay run, default datum, default_times(7):
+        each reported error covers the distance to a run at EPSREL 1e-12 /
+        EPSABS 1e-17, up to roundoff, although the first panels no longer
+        break at every time's scales."""
+        names = ["tau1-type3-first", "tau2-type3-first-eq", "tau3-frictional-zero",
+                 "tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = default_times(7)
+        got = {name: solution_norms_sq(standard_suite()[name], datum, times, 0)
+               for name in names}
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        monkeypatch.setattr(fullline, "EPSABS", 1e-17)
+        for name in names:
+            tight = solution_norms_sq(standard_suite()[name], datum, times, 0)
+            deviation = np.abs(got[name].values - tight.values)
+            assert np.all(deviation <= got[name].errors + tight.errors
+                          + 1e-13 * tight.values), name
 
 
 def _synthetic_panel(im: np.ndarray, middle: np.ndarray | None = None) -> np.ndarray:
@@ -354,11 +424,36 @@ class TestLevin:
         assert got.values == pytest.approx(expected, rel=1e-10)
 
     def test_default_grid_nodes(self):
-        """tau2-frictional-zero over default_times(31): at most 20,000 nodes
-        (4,005 measured; 132,295 on the ladder alone)."""
+        """tau2-frictional-zero over default_times(31): at most 1,700 nodes
+        (1,550 measured; 132,295 on the ladder alone)."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        assert solution_norms_sq(cfg, datum, default_times(31), 0).nodes <= 20_000
+        assert solution_norms_sq(cfg, datum, default_times(31), 0).nodes <= 1_700
+
+    def test_candidate_panel_selects_terms_once(self, monkeypatch):
+        """A new panel's Levin terms are found once: _panels hands them to
+        _panel_integral, and the panel's integral is bitwise the one
+        _panel_integral gets by finding them itself."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
+        times = np.array([0.0, 100.0])
+        lo, hi, start = np.array([4.0]), np.array([6.0]), np.array([4])
+        levin_terms, panel_integral, calls = fullline._levin_terms, fullline._panel_integral, []
+
+        def counted(*args):
+            calls.append(1)
+            return levin_terms(*args)
+
+        monkeypatch.setattr(fullline, "_levin_terms", counted)
+        passed = fullline._panels(cfg, datum, times, 0, lo, hi, start, [None], 0 * times)
+        assert passed[2][0].w is not None and len(calls) == 1
+        monkeypatch.setattr(fullline, "_panel_integral",
+                            lambda nodes, stride, half, times, tol, terms=None:
+                            panel_integral(nodes, stride, half, times, tol))
+        found = fullline._panels(cfg, datum, times, 0, lo, hi, start, [None], 0 * times)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(passed[0], found[0])
+        np.testing.assert_array_equal(passed[1], found[1])
 
     def test_guards(self):
         """Synthetic panels: four separated linear branches and their
