@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from tlab.model import (
-    CaseMismatchError, Coupling, ModeState, SystemConfig, Tau, assemble_generator,
+    CaseMismatchError, Coupling, ModeState, SystemConfig, Tau, generator_batch,
     real_generator_batch,
 )
 
@@ -45,7 +45,7 @@ def propagate(cfg: SystemConfig, xi: float, s0: ModeState, t: float) -> ModeStat
         raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    a = assemble_generator(cfg, xi).a
+    a = generator_batch(cfg, xi)[0]
     out = scipy.linalg.expm(a * t) @ s0.values
     return ModeState(values=out, xi=xi)
 
@@ -159,7 +159,7 @@ def nondecay_witness(cfg: SystemConfig, xi: float, t_final: float) -> dict:
     informative error when every eigenvalue has a real-part gap, i.e. when
     the configuration is not actually in the non-decaying case.
     """
-    a = assemble_generator(cfg, xi).a
+    a = generator_batch(cfg, xi)[0]
     eigvals, eigvecs = scipy.linalg.eig(a)
     idx = int(np.argmin(np.abs(eigvals.real)))
     lam = eigvals[idx]

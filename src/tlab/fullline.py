@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from tlab import envelope as _envelope
@@ -155,16 +154,9 @@ Profile = Zero | Gaussian | GaussianDerivative
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Per-component initial profiles of the 8-vector state.
-
-    Extension point: `custom_fourier`, when set, overrides the profile
-    transforms with an arbitrary map xi -> C^8 (used e.g. for eigenmode
-    band data); norms are then computed by quadrature against it.
-    """
+    """Per-component initial profiles of the 8-vector state."""
 
     profiles: tuple[Profile, ...] = tuple(Zero() for _ in range(DIM))
-    custom_fourier: Callable[[float], np.ndarray] | None = None
-    custom_cutoff: float = 50.0
 
     def __post_init__(self) -> None:
         if len(self.profiles) != DIM:
@@ -178,44 +170,21 @@ class InitialDatum:
 
     def fourier(self, xi: float | np.ndarray) -> np.ndarray:
         """Uhat0(xi): shape (8,) for a scalar xi, (8, n) for n frequencies."""
-        if self.custom_fourier is not None:
-            if np.ndim(xi) == 0:
-                return np.asarray(self.custom_fourier(float(xi)), dtype=complex)
-            # the callback takes one frequency at a time
-            return np.array([self.custom_fourier(float(x)) for x in xi], dtype=complex).T
         return np.array([p.fourier(xi) for p in self.profiles], dtype=complex)
 
     def l1_norm(self) -> float:
-        if self.custom_fourier is not None:
-            raise ValueError("L1 norm undefined for custom Fourier data")
         return float(sum(p.l1_norm() for p in self.profiles))
 
     def tail_cutoff(self, weight_power: int) -> float:
-        if self.custom_fourier is not None:
-            return self.custom_cutoff
         return max((p.tail_cutoff(weight_power) for p in self.profiles), default=0.0)
 
     def sobolev_norm_sq(self, m: int) -> float:
         """|d^m (datum)|_{L2}^2.
 
         Profiles sit on distinct components, which are orthogonal, so the
-        norm is the sum of each profile's closed form.  Custom Fourier data
-        are integrated by Plancherel quadrature up to `custom_cutoff`.
+        norm is the sum of each profile's closed form.
         """
-        if self.custom_fourier is None:
-            return float(sum(p.l2_norm_sq(m) for p in self.profiles))
-        cutoff = self.tail_cutoff(m)
-        if cutoff == 0.0:
-            return 0.0
-
-        def integrand(xi: float) -> float:
-            vec = self.fourier(xi)
-            return xi ** (2 * m) * float(np.real(vec.conj() @ vec))
-
-        val, err = scipy.integrate.quad(integrand, 0.0, cutoff, epsrel=1e-9, limit=400)
-        if val != 0.0 and err > 1e-6 * abs(val):
-            raise QuadratureError(f"norm quadrature error {err} vs value {val}")
-        return val / math.pi  # (1/2pi) * 2 (conjugate symmetry)
+        return float(sum(p.l2_norm_sq(m) for p in self.profiles))
 
 
 # Whole-line quadrature: adaptive panels on the nested Clenshaw-Curtis rules of

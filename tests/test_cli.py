@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")] + _fast()) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
+    def test_certificate_cap_is_exit_three(self, tmp_path, capsys):
+        """The multiplier grows like chi^-2 near k3 = k2: at chi = 1e-6 the
+        search passes LAMBDA_CAP, a numerical failure rather than a verdict."""
+        base = standard_suite()["tau1-type3-first"]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text(replace(base, k3=base.k2 + 1e-6)))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: multiplier cap reached")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("subcommand", ["decay", "report"])
@@ -271,6 +283,14 @@ def test_decay_default_flags_every_cell(name, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_text(standard_suite()[name]))
     assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(standard_suite()))
+def test_report_default_flags_every_cell(name, tmp_path):
+    """tlab report with its default flags passes on every suite cell."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text(standard_suite()[name]))
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestSuite:
