@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
+from tlab.forms import DIM, ETA
 from tlab.model import (
     CaseMismatchError, Coupling, ModeState, SystemConfig, Tau, generator_batch,
-    real_generator_batch,
+    hermitian_energy, real_generator_batch,
 )
 
 IMAG_EIG_TOL = 1e-8  # |Re(lam)| <= tol*(1+|lam|) counts as purely imaginary
@@ -34,7 +35,7 @@ class NoImaginaryEigenvalueError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray  # 8 complex numbers, sorted by (Re, Im)
+    eigenvalues: np.ndarray  # 8 complex numbers, sorted as spectra sorts them
     abscissa: float          # max Re(lambda)
     nearest_imaginary_gap: float  # min |Re(lambda)|
 
@@ -53,29 +54,39 @@ def propagate(cfg: SystemConfig, xi: float, s0: ModeState, t: float) -> ModeStat
 def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
     """Eigenvalues of A(xi) at every grid frequency, shape (n, 8).
 
-    One stacked real eigendecomposition of B(xi) = S^-1 A(xi) S, which has
-    the spectrum of A.  Each row is sorted by (Re, Im); conjugate pairs of a
-    real matrix have equal real parts, so the negative imaginary part comes
-    first.  Every pair must pass the backward-error check
-    |B v - lam v| / |v| <= 1e-10 max(|B|_2, 1), else EigensolverError names
-    the frequency.  Since |B|_F / sqrt(8) <= |B|_2, a row whose residuals all
-    pass against 1e-10 max(|B|_F / sqrt(8), 1) passes the check; only the
-    other rows pay for the singular values that give |B|_2.
+    One stacked real eigendecomposition of the energy-scaled real generator
+    Bt(xi) = H^1/2 S^-1 A(xi) S H^-1/2, which has the spectrum of A.  Since
+    Bt + Bt^T = -2 d E_eta with d = k5 xi^(2 eps0), each eigenpair (lam, v)
+    satisfies Re lam = -d |v_eta|^2 / |v|^2 exactly; the real parts are taken
+    from this identity, which is never positive and keeps its relative
+    accuracy where eig's real part does not.  A mode whose |v_eta| / |v| lies
+    within the first-order eigenvector error 8 eps |Bt|_F / gap (gap: the
+    distance to the nearest other eigenvalue) is neutral, Re lam = 0; so is
+    every mode where d = 0.  Each row is sorted by (Re, |Im|, Im): conjugate
+    pairs have conjugate eigenvectors and so equal real parts, they stay
+    adjacent where several neutral modes share Re = 0, and the negative
+    imaginary part comes first.  Every pair must pass the backward-error
+    check |Bt v - lam v| / |v| <= 1e-10 max(|Bt|_2, 1), else EigensolverError
+    names the frequency.  Since |Bt|_F / sqrt(8) <= |Bt|_2, a row whose
+    residuals all pass against 1e-10 max(|Bt|_F / sqrt(8), 1) passes the
+    check; only the other rows pay for the singular values that give |Bt|_2.
     """
     grid = np.asarray(xi_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("xi grid is empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("xi grid has non-finite entries")
-    b = real_generator_batch(cfg, grid)
+    h_sqrt = np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+    b = real_generator_batch(cfg, grid) * (h_sqrt[:, None] / h_sqrt)
     try:
         eigvals, eigvecs = np.linalg.eig(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n=8
         raise EigensolverError(f"eigensolver failed on the xi grid: {exc}") from exc
     eigvals = eigvals.astype(complex)
-    resid = (np.linalg.norm(b @ eigvecs - eigvecs * eigvals[:, None, :], axis=1)
-             / np.maximum(np.linalg.norm(eigvecs, axis=1), 1e-300))
-    cheap = 1e-10 * np.maximum(np.linalg.norm(b, axis=(1, 2)) / math.sqrt(b.shape[-1]), 1.0)
+    vec_norm = np.maximum(np.linalg.norm(eigvecs, axis=1), 1e-300)
+    resid = np.linalg.norm(b @ eigvecs - eigvecs * eigvals[:, None, :], axis=1) / vec_norm
+    b_frob = np.linalg.norm(b, axis=(1, 2))
+    cheap = 1e-10 * np.maximum(b_frob / math.sqrt(DIM), 1.0)
     rows = np.flatnonzero(~np.all(resid <= cheap[:, None], axis=1))
     if rows.size:
         limit = 1e-10 * np.maximum(np.linalg.svd(b[rows], compute_uv=False)[:, 0], 1.0)
@@ -87,7 +98,14 @@ def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
                 f"backward error {resid[i, j]:.3e} too large for eigenvalue "
                 f"{eigvals[i, j]} at xi={grid[i]}"
             )
-    order = np.lexsort((eigvals.imag, eigvals.real), axis=-1)
+    eta_share = np.abs(eigvecs[:, ETA, :]) / vec_norm
+    dist = np.abs(eigvals[:, :, None] - eigvals[:, None, :])
+    dist[:, range(DIM), range(DIM)] = np.inf
+    damping = cfg.k5 * grid[:, None] ** (2 * cfg.epsilon0)
+    neutral = ((eta_share * dist.min(axis=2) <= DIM * np.finfo(float).eps * b_frob[:, None])
+               | (damping == 0.0))
+    eigvals = np.where(neutral, 0.0, -damping * eta_share ** 2) + 1j * eigvals.imag
+    order = np.lexsort((eigvals.imag, np.abs(eigvals.imag), eigvals.real), axis=-1)
     return np.take_along_axis(eigvals, order, axis=-1)
 
 

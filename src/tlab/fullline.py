@@ -193,7 +193,7 @@ class InitialDatum:
 # Modal terms whose phase turns fast on a panel are integrated by Levin
 # collocation on the panel's own 33-point nodes instead (see _panel_integral).
 EPSREL = 1e-9
-EPSABS = 1e-13
+EPSABS = 1e-13             # times |d^j U0|_{L2}^2, so rescaled data refine alike
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
 EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by expm
@@ -588,10 +588,10 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     first round, a panel that is negligible at some time, even counting
     twice the L1 mass of its Levin terms, keeps the plain rule there, with
     that mass added to its estimate.  While some time's summed error
-    estimate exceeds max(EPSABS, EPSREL |value|), the panels with the
-    largest estimates are refined: a panel below 129 points moves to the
-    next nested rule (65, then 129 points), evaluating only the nodes it
-    lacks; a 129-point panel is bisected, both halves at 129 points.
+    estimate exceeds max(EPSABS |d^j U0|^2, EPSREL |value|), the panels
+    with the largest estimates are refined: a panel below 129 points moves
+    to the next nested rule (65, then 129 points), evaluating only the
+    nodes it lacks; a 129-point panel is bisected, both halves at 129 points.
     Refinement also stops when the node budget is spent.  Raises
     QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
     """
@@ -602,13 +602,14 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     if cutoff == 0.0:
         return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), 0)
 
+    floor = EPSABS * datum.sobolev_norm_sq(j)
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
     vals, errs, held, nodes = _panels(cfg, datum, ts, j, lo, hi, stride, [None] * lo.size,
                                       np.zeros(ts.size))
     while True:
-        tol = np.maximum(EPSABS, EPSREL * np.abs(vals.sum(axis=0)))
+        tol = np.maximum(floor, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) > tol
         if not open_t.any():
             break

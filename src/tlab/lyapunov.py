@@ -12,21 +12,22 @@ turns a tau3 generator into a tau2 generator under either coupling order and
 leaves the energy unchanged, so the tau3 parameters and functional are those
 of this tau2 image (`_tau2_image`), conjugated back by the swap.
 
-A certificate (lambda, c) then consists of a multiplier lambda and a rate
-c in (0, 1] such that at every grid frequency
+A certificate (lambda, c1) then consists of a multiplier lambda and a rate
+c1 in (0, 1] such that at every grid frequency, with no slack,
 
-    Herm(A* M + M A) + c f(xi) H  <=  0   (up to a tiny tolerance),
+    Herm(A* M + M A) + c1 f(xi) H  <=  0,
 
 with M the matrix of L and H the energy.  Together with the equivalence
 constants c3 H <= M <= c4 H this yields the pointwise bound
 
     |Uhat(t)|^2 <= c_tilde e^{-c f(xi) t} |Uhat(0)|^2,
-    c_tilde = c4 alpha2 / (c3 alpha1).
+    c = c1 / c4,  c_tilde = c4 alpha2 / (c3 alpha1).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from decimal import ROUND_FLOOR, Decimal
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,6 @@ from tlab.model import (
     CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
 )
 
-NEG_TOL_FACTOR = 1e-8  # slack allowed on the max eigenvalue, times |H|
 LAMBDA_CAP = 2.0 ** 40
 
 
@@ -141,9 +141,10 @@ class DecayCertificate:
     c_tilde: float
     c3: float
     c4: float
-    c1: float          # drift-domination constant from the bisection
-    worst_xi: float
-    max_eig_margin: float
+    c1: float          # drift-domination constant, min c* rounded down
+    worst_xi: float    # the binding frequency, argmin of c*
+    worst_on_edge: bool  # worst_xi is the first or last grid point
+    max_eig_margin: float  # max over xi of lambda_max(H^-1/2 (Q + c1 f H) H^-1/2)
     params: LyapunovParams
     case: str
 
@@ -157,6 +158,7 @@ class DecayCertificate:
             "c3": self.c3,
             "c4": self.c4,
             "worst_xi": self.worst_xi,
+            "worst_on_edge": self.worst_on_edge,
             "max_eig_margin": self.max_eig_margin,
         }
 
@@ -333,15 +335,19 @@ def certify(
     cfg: SystemConfig,
     xi_grid: Sequence[float] | None = None,
 ) -> DecayCertificate:
-    """Search (lambda, c) realizing the pointwise exponential bound.
+    """Search (lambda, c1) realizing the pointwise exponential bound.
 
-    lambda doubles from 1 until at every grid xi the drift of L is dominated
-    by -c f(xi) Ehat for some c in (0, 1] and L is equivalent to the energy
-    (c3 > 0).  For each lambda with c3 > 0, one stacked eigvalsh gives the
-    largest such c at every xi in closed form (H is diagonal and positive); a
-    lambda with c3 <= 0 is doubled without it.  c is then bisected against
-    its minimum over the grid to three significant digits.  One more stacked
-    eigvalsh gives the equivalence bounds and one the final margin.
+    lambda doubles from 1 until L is equivalent to the energy (c3 > 0) and
+    its drift is dominated by -c1 f(xi) Ehat at every grid xi for some
+    c1 > 0.  H is diagonal and positive, so with Q = Herm(A*M + MA) the
+    largest such rate at xi is the closed form
+
+        c*(xi) = -lambda_max(H^-1/2 Q H^-1/2) / f(xi),
+
+    one stacked eigvalsh per lambda with c3 > 0 (a lambda with c3 <= 0 is
+    doubled without it).  The first lambda with min c* > 0 is accepted, and
+    c1 is that minimum rounded down to 3 significant digits, capped at 1.
+    One more stacked eigvalsh gives the equivalence bounds.
     """
     if xi_grid is None:
         xi_grid = default_xi_grid()
@@ -352,9 +358,7 @@ def certify(
 
     params = select_lambdas(cfg)
     h = hermitian_energy(cfg).matrix
-    h_scale = float(np.linalg.norm(h, 2))
-    tol = NEG_TOL_FACTOR * h_scale
-    hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
+    hinv_sqrt = 1.0 / np.sqrt(np.real(np.diag(h)))
 
     # G = F/ftilde from the identity catalog and f from the envelope, each
     # evaluated over the whole grid in one pass
@@ -365,70 +369,46 @@ def certify(
     a_adj = a.conj().swapaxes(-1, -2)
     drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)  # Herm(A*G + GA)
     dissip = hermitian_part(a_adj @ h + h @ a)
-    gen_eigs = np.linalg.eigvalsh(hinv_sqrt @ g_mat @ hinv_sqrt)[:, [0, -1]]
-
-    fh = f_vals[:, None, None] * h[None, :, :]
-
-    def max_margin(lam: float, c: float) -> tuple[float, float]:
-        """(worst margin, worst xi) of Herm(A*M+MA) + c f H over the grid."""
-        mats = lam * dissip + drift_f + c * fh
-        eigs = np.linalg.eigvalsh(mats)[:, -1]
-        i = int(np.argmax(eigs))
-        return float(eigs[i]), float(grid[i])
-
-    def c_threshold(lam: float) -> float:
-        """Largest c with max_margin(lam, c) <= tol.  H is diagonal and
-        positive, so lambda_max(Q + c f H) <= tol at xi iff
-        c f(xi) <= -lambda_max(H^-1/2 (Q - tol I) H^-1/2), Q = lam dissip + drift_f."""
-        q = lam * dissip   # built in place: one grid-sized stack at a time
-        q += drift_f
-        q[:, range(DIM), range(DIM)] -= tol
-        q *= hinv_sqrt.diagonal()[:, None]
-        q *= hinv_sqrt.diagonal()
-        # at large xi and lambda, Q is graded: its eta entry (last) dwarfs the
-        # rest, and only the reduction that starts from the last column keeps
-        # the small eigenvalues accurate
-        top = np.linalg.eigvalsh(q, UPLO="U")[:, -1]
-        return float(np.min(-top / f_vals))
+    # at large xi and lambda these stacks are graded: the eta entry (last)
+    # dwarfs the rest, and only the reduction that starts from the last
+    # column keeps the small eigenvalues accurate
+    gen_eigs = np.linalg.eigvalsh(hinv_sqrt[:, None] * g_mat * hinv_sqrt,
+                                  UPLO="U")[:, [0, -1]]
+    gen_min = float(np.min(gen_eigs[:, 0]))
 
     lam = 1.0
-    c_floor = 1e-9
-    gen_min = float(np.min(gen_eigs[:, 0]))
+    c_star = None
     while True:
         # no lambda with c3 <= 0 is accepted, so its threshold is not needed
         if lam + gen_min > 0:
-            c_star = c_threshold(lam)
-            if c_floor <= c_star:
+            q = lam * dissip   # built in place: one grid-sized stack at a time
+            q += drift_f
+            q *= hinv_sqrt[:, None]
+            q *= hinv_sqrt
+            top = np.linalg.eigvalsh(q, UPLO="U")[:, -1]
+            c_star = -top / f_vals
+            worst = int(np.argmin(c_star))
+            if c_star[worst] > 0:
                 break
+        if lam >= LAMBDA_CAP:
+            detail = ("c3 stayed <= 0" if c_star is None else
+                      f"at lambda = {lam:.6g} the rate threshold c* = "
+                      f"{c_star[worst]:.3e} binds at xi = {grid[worst]}")
+            raise CertificateSearchError(f"multiplier cap reached; {detail}")
         lam *= 2.0
-        if lam > LAMBDA_CAP:
-            m, worst = max_margin(LAMBDA_CAP, c_floor)
-            raise CertificateSearchError(
-                f"multiplier cap reached; worst xi = {worst}, "
-                f"offending max eigenvalue = {m:.3e}"
-            )
 
-    # maximize c in (c_floor, 1] by bisection to 3 significant digits
-    lo, hi = c_floor, 1.0
-    if hi <= c_star:
-        c = hi
-    else:
-        while (hi - lo) > 1e-3 * lo:
-            mid = 0.5 * (lo + hi)
-            if mid <= c_star:
-                lo = mid
-            else:
-                hi = mid
-        c = lo
-
-    margin, worst_xi = max_margin(lam, c)
+    c_min = Decimal(float(c_star[worst]))
+    # rounded down exactly, so c1 <= c* at every grid xi
+    c1 = min(1.0, float(c_min.quantize(Decimal(1).scaleb(c_min.adjusted() - 2),
+                                       rounding=ROUND_FLOOR)))
     c3 = lam + gen_min
     c4 = lam + float(np.max(gen_eigs[:, 1]))
     c_tilde = c4 * cfg.alpha2 / (c3 * cfg.alpha1)
     # drift bound dL/dt <= -c1 f Ehat with c3 E <= L <= c4 E gives the
     # pointwise rate c = c1/c4 in |Uhat(t)|^2 <= c_tilde e^{-c f t} |Uhat0|^2
     return DecayCertificate(
-        big_lambda=lam, c=c / c4, c_tilde=c_tilde, c3=c3, c4=c4,
-        c1=c, worst_xi=worst_xi, max_eig_margin=margin, params=params,
+        big_lambda=lam, c=c1 / c4, c_tilde=c_tilde, c3=c3, c4=c4, c1=c1,
+        worst_xi=float(grid[worst]), worst_on_edge=worst in (0, grid.size - 1),
+        max_eig_margin=float(np.max(top + c1 * f_vals)), params=params,
         case=params.case,
     )

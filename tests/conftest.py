@@ -23,6 +23,27 @@ damping = type3
 coupling = zero
 """
 
+# stable tau2/tau3 type-III zero-order configs of the perfbench certify-sweep
+# (named by seed and pass) whose abscissa on the default scan grid lies
+# between -6e-13 and -6e-14, below the roundoff of eig's real parts:
+# (k1, k2, k3, k4, k5, gamma, tau)
+SCAN_ROUNDOFF_SWEEP = {
+    "seed9-p5": (1.177027, 0.563965, 1.644154, 0.830925, 1.788773, -0.88747, 3),
+    "seed10-p15": (0.595492, 1.089013, 1.97934, 0.532361, 1.762978, -0.525079, 2),
+    "seed20-p18": (0.556778, 0.767213, 1.774692, 1.408193, 1.459786, 0.68113, 2),
+    "seed21-p9": (1.562988, 0.515162, 1.474826, 1.219841, 1.751373, 1.139321, 3),
+    "seed34-p16": (0.635765, 0.852028, 1.611353, 1.422267, 1.662811, -0.981984, 2),
+    "seed811-p3": (0.522141, 0.911464, 1.981351, 0.99383, 1.183996, 1.11658, 2),
+    "seed904-p3": (0.921933, 0.559088, 1.962456, 0.584027, 1.442407, 0.760199, 2),
+    "seed9308-p11": (0.715408, 1.951334, 0.535867, 0.731203, 1.693325, -0.584166, 3),
+}
+
+
+def scan_roundoff_config(name: str) -> SystemConfig:
+    k1, k2, k3, k4, k5, gamma, tau = SCAN_ROUNDOFF_SWEEP[name]
+    return SystemConfig(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5, gamma=gamma, tau=Tau(tau),
+                        damping=Damping.TYPE_III, coupling=Coupling.ZERO_ORDER)
+
 
 def random_config(rng: np.random.Generator, tau: Tau | None = None,
                   damping: Damping | None = None,

@@ -8,6 +8,7 @@ in tlab.model; agreement between the two is the point of the tests.
 from __future__ import annotations
 
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import scipy.integrate
@@ -18,10 +19,10 @@ from tlab import identities as ids
 from tlab.dynamics import default_xi_grid
 from tlab.forms import DIM, hermitian_from_terms, hermitian_part
 from tlab.lyapunov import (
-    _SWAP, LAMBDA_CAP, NEG_TOL_FACTOR, CertificateSearchError, DecayCertificate, LyapunovParams,
-    _f_part_matrix, _tau2_image, case_name, functional_recipe, select_lambdas,
+    _SWAP, DecayCertificate, LyapunovParams, _tau2_image, case_name, functional_form,
+    functional_recipe,
 )
-from tlab.model import Coupling, Damping, SystemConfig, Tau, generator_batch, hermitian_energy
+from tlab.model import Coupling, Damping, SystemConfig, Tau, hermitian_energy
 
 
 def mode_rhs(cfg: SystemConfig, xi: float, s: np.ndarray) -> np.ndarray:
@@ -124,53 +125,44 @@ def f_part_dense(cfg: SystemConfig, params: LyapunovParams, xi) -> np.ndarray:
     return (x ** q)[..., None, None] * f
 
 
-def certify_by_bisection(cfg: SystemConfig) -> DecayCertificate:
-    """lyapunov.certify as it was before the closed-form rate threshold.
+def _cholesky_ok(m: np.ndarray) -> bool:
+    """Whether the Hermitian m, equilibrated to a unit diagonal, has a Cholesky factor."""
+    d = np.real(np.diag(m))
+    if not np.all(d > 0):
+        return False
+    d = 1.0 / np.sqrt(d)
+    try:
+        np.linalg.cholesky(d[:, None] * m * d)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    Built from the package's functional and generator (it checks the search,
-    not the assembly): every doubling of lambda and every bisection step
-    decides c by one stacked eigvalsh of Herm(A*M + MA) + c f H.
+
+def certificate_problems(cfg: SystemConfig, cert: DecayCertificate) -> list[str]:
+    """Slack-free check of a certificate on the default grid, one xi at a time.
+
+    Q = Herm(A*M + MA) is built at each xi from the componentwise generator
+    and lyapunov.functional_form.  The drift inequality Q + c1 f H <= 0 holds
+    at xi when -(Q + c1 f H) has a Cholesky factor.  At worst_xi, the next
+    rate above c1 in 3 significant digits must not hold, unless c1 is capped
+    at 1.  Returns one line per violation.
     """
-    grid = np.asarray(default_xi_grid(), dtype=float)
-    grid = grid[grid != 0.0]
-    params = select_lambdas(cfg)
+    grid = np.asarray(default_xi_grid(), dtype=float)[1:]
     h = hermitian_energy(cfg).matrix
-    tol = NEG_TOL_FACTOR * float(np.linalg.norm(h, 2))
-    hinv_sqrt = np.diag(1.0 / np.sqrt(np.real(np.diag(h))))
-    g_mat = hermitian_part(_f_part_matrix(cfg, params, grid)
-                           / envelope.f_tilde(cfg, grid)[:, None, None])
-    fh = envelope.f_of_xi(cfg, grid)[:, None, None] * h[None, :, :]
-    a = generator_batch(cfg, grid)
-    a_adj = a.conj().swapaxes(-1, -2)
-    drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)
-    dissip = hermitian_part(a_adj @ h + h @ a)
-    gen_eigs = np.linalg.eigvalsh(hinv_sqrt @ g_mat @ hinv_sqrt)[:, [0, -1]]
-
-    def max_margin(lam: float, c: float) -> tuple[float, float]:
-        eigs = np.linalg.eigvalsh(lam * dissip + drift_f + c * fh)[:, -1]
-        i = int(np.argmax(eigs))
-        return float(eigs[i]), float(grid[i])
-
-    lam, c_floor = 1.0, 1e-9
-    while not (max_margin(lam, c_floor)[0] <= tol and lam + float(np.min(gen_eigs[:, 0])) > 0):
-        lam *= 2.0
-        if lam > LAMBDA_CAP:
-            raise CertificateSearchError("multiplier cap reached")
-    lo, hi = c_floor, 1.0
-    if max_margin(lam, hi)[0] <= tol:
-        c = hi
-    else:
-        while (hi - lo) > 1e-3 * lo:
-            mid = 0.5 * (lo + hi)
-            if max_margin(lam, mid)[0] <= tol:
-                lo = mid
-            else:
-                hi = mid
-        c = lo
-    margin, worst_xi = max_margin(lam, c)
-    c3 = lam + float(np.min(gen_eigs[:, 0]))
-    c4 = lam + float(np.max(gen_eigs[:, 1]))
-    return DecayCertificate(
-        big_lambda=lam, c=c / c4, c_tilde=c4 * cfg.alpha2 / (c3 * cfg.alpha1), c3=c3, c4=c4,
-        c1=c, worst_xi=worst_xi, max_eig_margin=margin, params=params, case=params.case,
-    )
+    f = envelope.f_of_xi(cfg, grid)
+    problems = []
+    for xi, f_xi in zip(grid, f):
+        a = generator_longhand(cfg, float(xi))
+        m = functional_form(cfg, cert.params, float(xi), cert.big_lambda).matrix
+        q = hermitian_part(a.conj().T @ m + m @ a)
+        if not _cholesky_ok(-(q + cert.c1 * f_xi * h)):
+            problems.append(f"drift inequality fails at xi = {xi} with c1 = {cert.c1}")
+        if xi == cert.worst_xi and cert.c1 < 1.0:
+            c1 = Decimal(cert.c1)
+            step = Decimal(1).scaleb(c1.adjusted() - 2)
+            c_next = float(c1.quantize(step) + step)
+            if _cholesky_ok(-(q + c_next * f_xi * h)):
+                problems.append(f"rate {c_next} also holds at worst_xi = {xi}")
+    if cert.worst_xi not in grid:
+        problems.append(f"worst_xi = {cert.worst_xi} is not a grid point")
+    return problems

@@ -16,7 +16,7 @@ from tlab.envelope import envelope_cell
 from tlab.model import ModeState, config_text, hermitian_energy
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import SCAN_ROUNDOFF
+from conftest import SCAN_ROUNDOFF, SCAN_ROUNDOFF_SWEEP, scan_roundoff_config
 
 
 @pytest.fixture
@@ -149,7 +149,9 @@ class TestExitCodes:
         assert code == 0
         summary = json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())
         assert summary["expected_stable"] is False
-
+        # the neutral modes read Re = 0 exactly, so the scan sees no gap
+        assert summary["stable_scan"] is False
+        assert summary["max_abscissa_nonzero_xi"] == 0.0
 
     def test_spectrum_scan_eigensolver_failure_is_exit_three(self, stable_config, tmp_path,
                                                              monkeypatch, capsys):
@@ -179,6 +181,18 @@ class TestArtifacts:
         assert summary["stable_scan"] is True
         assert summary["max_abscissa_nonzero_xi"] < 0.0
 
+
+    @pytest.mark.parametrize("name", sorted(SCAN_ROUNDOFF_SWEEP))
+    def test_spectrum_scan_roundoff_configs_pass(self, name, tmp_path):
+        """Abscissae below eig's roundoff keep their sign: the real parts come
+        from the dissipation identity, not from eig."""
+        cfg = tmp_path / "roundoff.cfg"
+        cfg.write_text(config_text(scan_roundoff_config(name)))
+        out = tmp_path / "o"
+        assert main(["spectrum-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["stable_scan"] is True
+        assert -1e-12 < summary["max_abscissa_nonzero_xi"] < 0.0
 
     def test_identities_pass(self, stable_config, tmp_path):
         out = tmp_path / "o"

@@ -16,7 +16,7 @@ from tlab.model import (
 )
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import SCAN_ROUNDOFF, random_config, random_state
+from conftest import SCAN_ROUNDOFF, random_config, random_state, scan_roundoff_config
 
 
 class TestPropagate:
@@ -177,6 +177,21 @@ class TestBatchedSpectra:
             spectra(cfg, [])
         with pytest.raises(ValueError):
             spectra(cfg, [1.0, math.inf])
+
+    @pytest.mark.parametrize("name", ["seed811-p3", "seed904-p3"])
+    def test_small_abscissa_matches_mpmath(self, name):
+        """Where eig's real part has the wrong sign (+8.1e-14 at xi = 91.2 on
+        seed811-p3, +1.6e-13 at 95.5 on seed904-p3), the abscissa from the
+        dissipation identity agrees with a 60-digit eig of the same matrix."""
+        mpmath = pytest.importorskip("mpmath")
+        cfg = scan_roundoff_config(name)
+        grid = default_xi_grid()[[1, 401, 793, 797, -1]]  # 0.01, 1, 91.2, 95.5, 100
+        got = spectra(cfg, grid).real.max(axis=1)
+        for xi, absc, b in zip(grid, got, real_generator_batch(cfg, grid)):
+            with mpmath.workdps(60):
+                eigs = mpmath.eig(mpmath.matrix(b.tolist()), left=False, right=False)
+                exact = float(max(mpmath.re(z) for z in eigs))
+            assert absc == pytest.approx(exact, rel=1e-6), xi
 
 
 class TestScanAndGrid:

@@ -163,6 +163,21 @@ class TestSolutionNorms:
         with pytest.raises(ValueError, match=f"^{message}$"):
             decay_series(cfg, datum, times, 0)
 
+    @pytest.mark.parametrize("name", sorted(standard_suite()))
+    def test_homogeneous_in_amplitude(self, name):
+        """Squared norms are quadratic in the datum and the refinement floor
+        scales with |d^j U0|^2: amplitude 10^-k gives 10^-2k times the
+        amplitude-1 norms to EPSREL, with no QuadratureError.  The node
+        counts may differ, since the tail cutoff's budget is absolute."""
+        cfg = standard_suite()[name]
+        times = default_times(31)
+        unit = solution_norms_sq(cfg, InitialDatum.component(V, Gaussian(1.0, 1.0)), times, 0)
+        for k in (3, 5, 7):
+            datum = InitialDatum.component(V, Gaussian(10.0 ** -k, 1.0))
+            got = solution_norms_sq(cfg, datum, times, 0)
+            np.testing.assert_allclose(got.values * 10.0 ** (2 * k), unit.values,
+                                       rtol=fullline.EPSREL, atol=0.0, err_msg=f"k = {k}")
+
     def test_default_times(self):
         ts = default_times(11, 1e2)
         assert ts[0] == 0.0

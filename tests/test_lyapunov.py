@@ -8,7 +8,7 @@ from tlab.dynamics import default_xi_grid, propagate
 from tlab.envelope import f_of_xi, f_tilde
 from tlab.forms import DIM, ETA, add_weighted_terms, hermitian_from_terms, hermitian_part
 from tlab.lyapunov import (
-    _SWAP, NEG_TOL_FACTOR, CertificateSearchError, UnstableCaseError, _f_part_matrix,
+    _SWAP, UnstableCaseError, _f_part_matrix,
     _tau2_image, case_name, certify, functional_form, functional_recipe, select_lambdas,
 )
 from tlab.model import (
@@ -136,7 +136,8 @@ class TestCertificates:
 
     def test_matches_per_xi_assembly(self, suite_certificates):
         """The stacked drift and equivalence bounds agree with assembling
-        A(xi) and the functional's matrix one frequency at a time."""
+        A(xi) and the functional's matrix one frequency at a time; the
+        margin is that of the H-scaled drift H^-1/2 (Q + c1 f H) H^-1/2."""
         grid = default_xi_grid()[1:]
         for name, cfg in standard_suite().items():
             cert = suite_certificates[name]
@@ -147,27 +148,26 @@ class TestCertificates:
                 a = assemble_generator(cfg, xi).a
                 m = functional_form(cfg, cert.params, xi, cert.big_lambda).matrix
                 drift = hermitian_part(a.conj().T @ m + m @ a) + cert.c1 * f_of_xi(cfg, xi) * h
-                margins.append(np.linalg.eigvalsh(drift)[-1])
+                margins.append(np.linalg.eigvalsh(hinv_sqrt @ drift @ hinv_sqrt, UPLO="U")[-1])
                 gen.append(np.linalg.eigvalsh(hinv_sqrt @ m @ hinv_sqrt)[[0, -1]])
             gen = np.array(gen)
-            scale = np.linalg.norm(h, 2)
-            assert max(margins) == pytest.approx(cert.max_eig_margin, abs=1e-10 * scale), name
+            assert cert.max_eig_margin <= 0.0, name
+            assert max(margins) == pytest.approx(cert.max_eig_margin, abs=1e-10), name
             assert gen[:, 0].min() == pytest.approx(cert.c3, rel=1e-12), name
             assert gen[:, 1].max() == pytest.approx(cert.c4, rel=1e-12), name
 
     def test_as_dict_fields(self, suite_certificates):
         d = suite_certificates["tau1-type3-first"].as_dict()
         assert set(d) == {"case", "lambda_params", "big_lambda", "c", "c_tilde",
-                          "c3", "c4", "worst_xi", "max_eig_margin"}
+                          "c3", "c4", "worst_xi", "worst_on_edge", "max_eig_margin"}
 
 
 def _search_cells() -> dict[str, SystemConfig]:
     """The suite cells, scan-roundoff, a graded config and seeded random configs.
 
     On the graded config the drift at xi ~ 93 is ~2e8 in the eta entry and
-    ~1e-12 elsewhere; a lower-triangle eigvalsh of the shifted, scaled drift
-    there is off by ~5e-8 (more than the slack) and ends the search at the
-    multiplier cap.
+    ~1e-12 elsewhere; a lower-triangle eigvalsh of the scaled drift there is
+    off by ~5e-8.
     """
     cells = dict(standard_suite())
     cells["scan-roundoff"] = parse_config_text(SCAN_ROUNDOFF)
@@ -181,42 +181,38 @@ def _search_cells() -> dict[str, SystemConfig]:
 
 
 class TestRateThreshold:
-    """certify() decides each bisection step against one closed-form
-    threshold instead of an eigvalsh over the grid per step."""
+    """certify() takes c1 from the closed-form threshold
+    c*(xi) = -lambda_max(H^-1/2 Q H^-1/2)/f(xi), with no slack."""
 
     @pytest.mark.parametrize("name", sorted(_search_cells()))
     def test_matches_eigvalsh_bisection(self, name):
+        """c1 holds at every grid xi by a Cholesky test one xi at a time, and
+        the next 3-significant-digit rate fails at worst_xi."""
         cfg = _search_cells()[name]
-        assert certify(cfg) == oracles.certify_by_bisection(cfg)
+        cert = certify(cfg)
+        assert oracles.certificate_problems(cfg, cert) == []
+        assert cert.max_eig_margin <= 0.0
+        grid = default_xi_grid()[1:]
+        assert cert.worst_on_edge == (cert.worst_xi in (grid[0], grid[-1]))
 
     def test_graded_drift_certifies(self):
-        """The per-step eigvalsh overstates the drift at xi ~ 79-94 here (3.0e-8
-        against a true -3.2e-9, over the 1.1e-8 slack) at every lambda, so
-        the bisection search ends at the multiplier cap; the threshold
-        certifies, and its c holds at every grid xi by a Cholesky test of
-        tol I - (Q + c f H) on the diagonally equilibrated matrices."""
+        """A lower-triangle eigvalsh overstates the scaled drift at xi ~ 79-94
+        here (3.0e-8 against a true -3.2e-9).  The upper-triangle threshold
+        certifies; its c1 holds at every grid xi without slack, and the rate
+        binds mid-grid."""
         cfg = SystemConfig(
             k1=1.8336329393646031, k2=2.213912764838688, k3=2.25057768325397,
             k4=1.5106375836082657, k5=2.0130910309772343, gamma=0.6885520981417247,
             tau=Tau.TAU1, damping=Damping.TYPE_III, coupling=Coupling.ZERO_ORDER)
-        with pytest.raises(CertificateSearchError):
-            oracles.certify_by_bisection(cfg)
         cert = certify(cfg)
         assert cert.c1 > 0.2
-        grid = default_xi_grid()[1:]
-        h = hermitian_energy(cfg).matrix
-        a = generator_batch(cfg, grid)
-        m = np.stack([functional_form(cfg, cert.params, xi, cert.big_lambda).matrix
-                      for xi in grid])
-        q = hermitian_part(a.conj().swapaxes(-1, -2) @ m + m @ a)
-        slack = NEG_TOL_FACTOR * np.linalg.norm(h, 2) * np.eye(DIM)
-        gap = slack - q - cert.c1 * f_of_xi(cfg, grid)[:, None, None] * h
-        d = 1.0 / np.sqrt(np.real(np.diagonal(gap, axis1=1, axis2=2)))
-        np.linalg.cholesky(d[:, :, None] * gap * d[:, None, :])  # raises unless positive
+        assert 1.0 <= cert.worst_xi <= 1.2 and not cert.worst_on_edge
+        assert cert.max_eig_margin <= 0.0
+        assert oracles.certificate_problems(cfg, cert) == []
 
     def test_eigvalsh_calls(self, monkeypatch):
-        """One stacked eigvalsh for the equivalence bounds, one per lambda
-        tried with c3 = lambda + min gen_eigs > 0, and the final margin."""
+        """One stacked eigvalsh for the equivalence bounds and one per lambda
+        tried with c3 = lambda + min gen_eigs > 0."""
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counted(*args, **kwargs):
@@ -231,9 +227,32 @@ class TestRateThreshold:
             gen_min = cert.c3 - cert.big_lambda
             tried = [2.0 ** k for k in range(round(math.log2(cert.big_lambda)) + 1)]
             with_c3 = sum(lam + gen_min > 0 for lam in tried)
-            assert len(calls) == with_c3 + 2, name
+            assert len(calls) == with_c3 + 1, name
             skipped += len(tried) - with_c3
         assert skipped > 0
+
+
+@pytest.mark.parametrize("name", sorted(standard_suite()))
+def test_binding_threshold_matches_mpmath(name, suite_certificates):
+    """At worst_xi, the double-precision threshold c* agrees with a 60-digit
+    eighe of the same H-scaled drift matrix, and c1 is that c* rounded down
+    to 3 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    cfg, cert = standard_suite()[name], suite_certificates[name]
+    xi = cert.worst_xi
+    h = hermitian_energy(cfg).matrix
+    s = 1.0 / np.sqrt(np.real(np.diag(h)))
+    a = generator_batch(cfg, xi)[0]
+    m = functional_form(cfg, cert.params, xi, cert.big_lambda).matrix
+    q = s[:, None] * hermitian_part(a.conj().T @ m + m @ a) * s
+    f = f_of_xi(cfg, xi)
+    c_star = -np.linalg.eigvalsh(q, UPLO="U")[-1] / f
+    with mpmath.workdps(60):
+        eigs = mpmath.eighe(mpmath.matrix(q.tolist()), eigvals_only=True)
+        exact = float(-max(eigs) / mpmath.mpf(float(f)))
+    assert c_star == pytest.approx(exact, rel=1e-11), name
+    step = 10.0 ** (math.floor(math.log10(cert.c1)) - 2)
+    assert cert.c1 <= exact < cert.c1 + step * (1.0 + 1e-9), name
 
 
 class TestDirectAssembly:
