@@ -307,18 +307,22 @@ class _Eigen:
 
 
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
-    """The first round's panel edges: 0, the dyadic points 2^-k >= (1+t_max)^(-1/2)
-    below the cutoff, 1 when the cutoff is above it, and the cutoff.
+    """The first round's panel edges: 0, every dyadic point 2^k with
+    (1+t_max)^(-1/2) <= 2^k < cutoff, on both sides of 1, and the cutoff.
 
     At time t the mass concentrates on xi ~ t^(-1/p), p = 2, 4 or 6; the
     grading by 2 toward 0 meets each of those scales within a factor of 2
     for every time up to t_max, so the layout depends on the times only
-    through t_max.  The ladder and Levin refine from there.
+    through t_max.  Above 1 the integrand falls off with the datum's
+    Gaussian factor, and a Clenshaw-Curtis rule converges at a rate set by
+    the integrand's analyticity relative to the panel width: a single panel
+    [1, cutoff] of some 20 Gaussian widths would climb the whole ladder and
+    still be bisected, so the grading by 2 goes on up to the cutoff.  The
+    ladder and Levin refine from there.
     """
-    levels = np.arange(1, int(0.5 * math.log2(1.0 + times.max())) + 1)
-    dyadic = 2.0 ** -levels[::-1]
-    return np.concatenate(([0.0], dyadic[dyadic < cutoff], [1.0] if cutoff > 1.0 else [],
-                           [cutoff]))
+    low = -int(0.5 * math.log2(1.0 + times.max()))
+    dyadic = 2.0 ** np.arange(low, math.ceil(math.log2(cutoff)))   # every 2^k < cutoff
+    return np.concatenate(([0.0], dyadic, [cutoff]))
 
 
 def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
@@ -573,8 +577,9 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
 
     The times must be a nonempty list of finite, nonnegative numbers
     (ValueError otherwise, before any node is evaluated).  Panels start on
-    the 33-point Clenshaw-Curtis rule at the graded layout of _breakpoints,
-    which depends on the times only through the largest.  At every node the
+    the 33-point Clenshaw-Curtis rule at the layout of _breakpoints, graded
+    by 2 from the slowest decay scale (1+t_max)^(-1/2) up to the cutoff, so
+    it depends on the times only through the largest.  At every node the
     integrand splits into modal terms a_kl(xi) e^{t s_kl(xi)}, s_kl =
     conj(w_k) + w_l over the eigenvalues w of the mode generator.  On a
     panel where a term's phase t Im s_kl turns by more than LEVIN_TURN, that

@@ -299,6 +299,21 @@ def test_decay_default_flags_every_cell(name, tmp_path):
     assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="tail slope 0.0514 against the 0.05 gate: the tail window "
+                            "is counted in points, so the verdict depends on --times"))
+    if name == "tau1-frictional-first" else name
+    for name in sorted(standard_suite())])
+def test_decay_seven_times_every_cell(name, tmp_path):
+    """tlab decay --times 7, the grid of a long decay benchmark run, passes
+    on every suite cell."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text(standard_suite()[name]))
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--times", "7"]) == 0
+
+
 @pytest.mark.parametrize("name", sorted(standard_suite()))
 def test_report_default_flags_every_cell(name, tmp_path):
     """tlab report with its default flags passes on every suite cell."""

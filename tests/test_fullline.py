@@ -248,12 +248,13 @@ class TestBatchedKernel:
             assert norm ** 2 == pytest.approx(sobolev_norm_sq(cfg, datum, single, 1), rel=1e-8)
 
     def test_node_budget_exhaustion_is_a_quadrature_error(self, monkeypatch):
-        # t = 2154 alone takes 875 nodes with the Levin terms
-        monkeypatch.setattr(fullline, "NODE_BUDGET", 500)
+        # t = 100 alone takes 488 nodes; its first round of 264 leaves an
+        # estimate of 1.2e-3 relative, above ACCEPT_REL
+        monkeypatch.setattr(fullline, "NODE_BUDGET", 300)
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         with pytest.raises(fullline.QuadratureError):
-            solution_norms_sq(cfg, datum, [2154.0], 0)
+            solution_norms_sq(cfg, datum, [100.0], 0)
 
 
 class TestOrderLadder:
@@ -288,16 +289,16 @@ class TestOrderLadder:
 
     def test_short_time_nodes(self):
         """A smooth short-time integrand settles on the lower rules of its
-        three first panels (453 nodes measured)."""
+        first panels (262 measured)."""
         cfg = standard_suite()["tau2-type3-first"]
-        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 500
+        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 300
 
     def test_long_time_nodes(self):
         """With the oscillating modal terms on Levin, a long horizon takes
-        under 1,500 nodes (1,358 measured; 112,985 on the ladder alone)."""
+        at most 900 nodes (811 measured; 129,067 on the ladder alone)."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 1_500
+        assert solution_norms_sq(cfg, datum, default_times(7), 0).nodes <= 900
 
 
 class TestLayout:
@@ -313,15 +314,23 @@ class TestLayout:
 
     @pytest.mark.parametrize("t_max", [0.0, 0.5, 3.0, 10.0, 463.0, 1e4])
     def test_graded_by_two_down_to_the_slowest_scale(self, t_max):
-        """0, then 2^-k for every 2^-k >= (1+t_max)^(-1/2), then 1 and the
-        cutoff, increasing."""
+        """0, then 2^k for every (1+t_max)^(-1/2) <= 2^k < cutoff, on both
+        sides of 1, then the cutoff, increasing."""
         cutoff = 16.0
         edges = fullline._breakpoints(cutoff, np.array([0.0, t_max]))
-        assert edges[0] == 0.0 and edges[-2:].tolist() == [1.0, cutoff]
         assert np.all(np.diff(edges) > 0.0)
         scale = (1.0 + t_max) ** -0.5
-        assert edges[1:-2].tolist() == [2.0 ** -k for k in range(20, 0, -1)
-                                         if 2.0 ** -k >= scale]
+        assert edges.tolist() == [0.0] + [2.0 ** k for k in range(-20, 4)
+                                          if 2.0 ** k >= scale] + [cutoff]
+
+    @pytest.mark.parametrize("cutoff,top", [(16.0, [1.0, 2.0, 4.0, 8.0, 16.0]),
+                                            (20.23, [1.0, 2.0, 4.0, 8.0, 16.0, 20.23])],
+                             ids=["16", "20.23"])
+    def test_graded_by_two_up_to_the_cutoff(self, cutoff, top):
+        """Above 1 the panels double up to the cutoff, which closes the layout
+        whether it is dyadic or not."""
+        edges = fullline._breakpoints(cutoff, np.array([1e4]))
+        assert edges.tolist() == [0.0] + [2.0 ** -k for k in range(6, 0, -1)] + top
 
     def test_cutoff_at_or_below_one(self):
         """The cutoff closes the layout; no edge reaches past it."""
@@ -349,6 +358,25 @@ class TestLayout:
             deviation = np.abs(got[name].values - tight.values)
             assert np.all(deviation <= got[name].errors + tight.errors
                           + 1e-13 * tight.values), name
+
+    @pytest.mark.xfail(strict=True, reason="the estimate misses aliased modal terms kept "
+                                           "off Levin where four branches meet at xi = 0")
+    def test_colliding_terms_at_zero_errors_cover_a_tighter_run(self, monkeypatch):
+        """tau1-type3-zero, default datum, default_times(7): at t = 1e4 the
+        reported error is 3.1e-10 relative and the distance to a run at
+        EPSREL 1e-12 / EPSABS 1e-17 is 2.5e-8.  On the panel [0, 1/64] four
+        branches meet at xi = 0, so the collision guard keeps the terms
+        (0, 2) and (5, 7), which turn 188 rad with amplitude 1.6e-5, off
+        Levin, and the 33- and 65-point rules alias them alike."""
+        cfg = standard_suite()["tau1-type3-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = default_times(7)
+        got = solution_norms_sq(cfg, datum, times, 0)
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        monkeypatch.setattr(fullline, "EPSABS", 1e-17)
+        tight = solution_norms_sq(cfg, datum, times, 0)
+        assert np.all(np.abs(got.values - tight.values)
+                      <= got.errors + tight.errors + 1e-13 * tight.values)
 
 
 def _synthetic_panel(im: np.ndarray, middle: np.ndarray | None = None) -> np.ndarray:
@@ -435,11 +463,11 @@ class TestLevin:
         assert got.values == pytest.approx(expected, rel=1e-10)
 
     def test_default_grid_nodes(self):
-        """tau2-frictional-zero over default_times(31): at most 1,700 nodes
-        (1,550 measured; 132,295 on the ladder alone)."""
+        """tau2-frictional-zero over default_times(31): at most 1,100 nodes
+        (1,003 measured; 139,387 on the ladder alone)."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        assert solution_norms_sq(cfg, datum, default_times(31), 0).nodes <= 1_700
+        assert solution_norms_sq(cfg, datum, default_times(31), 0).nodes <= 1_100
 
     def test_candidate_panel_selects_terms_once(self, monkeypatch):
         """A new panel's Levin terms are found once: _panels hands them to
