@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -40,13 +41,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows: list[list[float]]) -> None:
-    """One line per row, each value as _fmt writes it: one %-format per row
-    (%g converts through float(), as _fmt does)."""
-    row_fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    lines = [header]
-    lines.extend(row_fmt % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows: Sequence[Sequence[float]] | np.ndarray) -> None:
+    """One line per row, each value as _fmt writes it: the whole table is one
+    %-format over the flat tuple of its values (%g converts through float(),
+    as _fmt does)."""
+    table = np.asarray(rows, dtype=float)
+    row_fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    path.write_text(header + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist()))
 
 
 class VerificationFailure(RuntimeError):
@@ -114,11 +115,10 @@ def _cmd_spectrum_scan(cfg: model.SystemConfig, args: argparse.Namespace,
     grid = _xi_grid(args)
     eigs = dynamics.spectra(cfg, grid)
     pairs = np.stack([eigs.real, eigs.imag], axis=2).reshape(grid.size, -1)
-    rows = np.column_stack([grid, pairs, eigs.real.max(axis=1)]).tolist()
+    abscissa = eigs.real.max(axis=1)
     header = "xi," + ",".join(f"re{i},im{i}" for i in range(1, 9)) + ",abscissa"
-    _write_csv(out / "spectrum.csv", header, rows)
-    nonzero = [(r[0], r[-1]) for r in rows if r[0] != 0.0]
-    worst = max(a for _, a in nonzero)
+    _write_csv(out / "spectrum.csv", header, np.column_stack([grid, pairs, abscissa]))
+    worst = float(abscissa[grid != 0.0].max())
     summary = {"max_abscissa_nonzero_xi": worst,
                "stable_scan": bool(worst < 0.0),
                "expected_stable": cfg.stable}

@@ -36,9 +36,10 @@ from tlab import envelope as _envelope
 from tlab import identities as _ids
 from tlab.dynamics import default_xi_grid
 from tlab.envelope import UnstableCaseError
-from tlab.forms import DIM, HermitianForm, add_weighted_terms, hermitian_part
+from tlab.forms import DIM, ETA, HermitianForm, add_weighted_terms, hermitian_part
 from tlab.model import (
-    CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
+    CaseMismatchError, Coupling, SystemConfig, Tau, hermitian_energy, real_generator_batch,
+    real_similarity,
 )
 
 LAMBDA_CAP = 2.0 ** 40
@@ -342,12 +343,24 @@ def certify(
     c1 > 0.  H is diagonal and positive, so with Q = Herm(A*M + MA) the
     largest such rate at xi is the closed form
 
-        c*(xi) = -lambda_max(H^-1/2 Q H^-1/2) / f(xi),
+        c*(xi) = -lambda_max(H^-1/2 Q H^-1/2) / f(xi).
 
-    one stacked eigvalsh per lambda with c3 > 0 (a lambda with c3 <= 0 is
-    doubled without it).  The first lambda with min c* > 0 is accepted, and
-    c1 is that minimum rounded down to 3 significant digits, capped at 1.
-    One more stacked eigvalsh gives the equivalence bounds.
+    Every matrix is taken on the real form of dynamics.spectra: under the
+    unitary similarity S of real_similarity, B = S^-1 A S and
+    G_r = S^-1 G S (G = F/ftilde) are real, so S^-1 Q S = lambda (B^T H + HB)
+    + B^T G_r + G_r B is real symmetric with the eigenvalues of Q.  The
+    energy identity makes H^-1/2 (B^T H + HB) H^-1/2 = 2 B_eta,eta E_eta,eta,
+    so lambda moves only the eta diagonal entry of the scaled drift.
+
+    A lambda with c3 <= 0 is doubled without an eigvalsh.  Otherwise the
+    rows of a probe are solved first: the 8 grid points with the smallest
+    c* at the last rejected lambda (before any full pass, every 16th grid
+    point and both ends).  Each row is the very matrix a full pass solves,
+    so a probed c* <= 0 rejects lambda exactly, and lambda is doubled.  A
+    lambda is accepted only by a full-grid pass with min c* > 0, and at
+    LAMBDA_CAP the full pass always runs.  c1 is that minimum rounded down
+    to 3 significant digits, capped at 1.  One more stacked eigvalsh gives
+    the equivalence bounds.
     """
     if xi_grid is None:
         xi_grid = default_xi_grid()
@@ -357,39 +370,45 @@ def certify(
         raise ValueError("xi grid has no nonzero entries")
 
     params = select_lambdas(cfg)
-    h = hermitian_energy(cfg).matrix
-    hinv_sqrt = 1.0 / np.sqrt(np.real(np.diag(h)))
+    hinv_sqrt = 1.0 / np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+    s = real_similarity(cfg)
 
     # G = F/ftilde from the identity catalog and f from the envelope, each
-    # evaluated over the whole grid in one pass
-    g_mat = hermitian_part(_f_part_matrix(cfg, params, grid)
-                           / _envelope.f_tilde(cfg, grid)[:, None, None])
+    # evaluated over the whole grid in one pass, then carried to the real form
+    g_mat = _f_part_matrix(cfg, params, grid) / _envelope.f_tilde(cfg, grid)[:, None, None]
+    g_real = (g_mat * (s[None, :] / s[:, None])).real
     f_vals = _envelope.f_of_xi(cfg, grid)
-    a = generator_batch(cfg, grid)
-    a_adj = a.conj().swapaxes(-1, -2)
-    drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)  # Herm(A*G + GA)
-    dissip = hermitian_part(a_adj @ h + h @ a)
+    b = real_generator_batch(cfg, grid)
+    bt_g = b.swapaxes(-1, -2) @ g_real
+    drift = hinv_sqrt[:, None] * (bt_g + bt_g.swapaxes(-1, -2)) * hinv_sqrt
+    dissip = 2.0 * b[:, ETA, ETA]
     # at large xi and lambda these stacks are graded: the eta entry (last)
     # dwarfs the rest, and only the reduction that starts from the last
     # column keeps the small eigenvalues accurate
-    gen_eigs = np.linalg.eigvalsh(hinv_sqrt[:, None] * g_mat * hinv_sqrt,
+    gen_eigs = np.linalg.eigvalsh(hinv_sqrt[:, None] * g_real * hinv_sqrt,
                                   UPLO="U")[:, [0, -1]]
     gen_min = float(np.min(gen_eigs[:, 0]))
 
+    def top_eig(lam: float, rows: np.ndarray) -> np.ndarray:
+        """lambda_max of the scaled drift at lambda on the given grid rows."""
+        q = drift[rows]  # a copy
+        q[:, ETA, ETA] += lam * dissip[rows]
+        return np.linalg.eigvalsh(q, UPLO="U")[:, -1]
+
+    everywhere = np.arange(grid.size)
+    probe = np.unique(np.r_[everywhere[::16], grid.size - 1])
     lam = 1.0
     c_star = None
     while True:
         # no lambda with c3 <= 0 is accepted, so its threshold is not needed
-        if lam + gen_min > 0:
-            q = lam * dissip   # built in place: one grid-sized stack at a time
-            q += drift_f
-            q *= hinv_sqrt[:, None]
-            q *= hinv_sqrt
-            top = np.linalg.eigvalsh(q, UPLO="U")[:, -1]
+        if lam + gen_min > 0 and (
+                lam >= LAMBDA_CAP or np.min(-top_eig(lam, probe) / f_vals[probe]) > 0):
+            top = top_eig(lam, everywhere)
             c_star = -top / f_vals
             worst = int(np.argmin(c_star))
             if c_star[worst] > 0:
                 break
+            probe = np.argsort(c_star, kind="stable")[:8]
         if lam >= LAMBDA_CAP:
             detail = ("c3 stayed <= 0" if c_star is None else
                       f"at lambda = {lam:.6g} the rate threshold c* = "

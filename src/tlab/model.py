@@ -238,10 +238,16 @@ def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     """The real matrices B(xi) = S^-1 A(xi) S of real_similarity, shape (n, 8, 8).
 
     S is unitary, so B has the spectrum and the 2-norm of A, and
-    |e^{At} u| = |e^{Bt} S^-1 u|.
+    |e^{At} u| = |e^{Bt} S^-1 u|.  B = xi^2 A2 - xi C1 - A0 is built from real
+    coefficients: S leaves A0 and A2 alone and turns i A1 into the real
+    C1 = Re(i A1 s_l / s_k).  Subtracting in the order of generator_batch
+    keeps even the signed zeros of (S^-1 A S).real.
     """
+    a0, a1, a2 = _generator_coefficients(cfg)
     s = real_similarity(cfg)
-    return (generator_batch(cfg, xi) * (s[None, :] / s[:, None])).real
+    c1 = (1j * a1 * (s[None, :] / s[:, None])).real
+    x = np.asarray(xi, dtype=float).reshape(-1, 1, 1)
+    return x ** 2 * a2 - x * c1 - a0
 
 
 def hermitian_energy(cfg: SystemConfig) -> HermitianForm:

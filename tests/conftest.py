@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,21 @@ def random_config(rng: np.random.Generator, tau: Tau | None = None,
         damping=damping or rng.choice(list(Damping)),
         coupling=coupling or rng.choice(list(Coupling)),
     )
+
+
+def covering_configs(rng: np.random.Generator, per_kind: int) -> list[SystemConfig]:
+    """`per_kind` stable random configs for every tau, damping, coupling and
+    sign of gamma."""
+    configs = []
+    for tau, damping, coupling, sign in itertools.product(Tau, Damping, Coupling, (1.0, -1.0)):
+        kind = []
+        while len(kind) < per_kind:
+            cfg = random_config(rng, tau, damping, coupling)
+            cfg = replace(cfg, gamma=sign * abs(cfg.gamma))
+            if cfg.stable:
+                kind.append(cfg)
+        configs += kind
+    return configs
 
 
 def recipe_cells() -> dict[str, SystemConfig]:

@@ -8,7 +8,7 @@ in tlab.model; agreement between the two is the point of the tests.
 from __future__ import annotations
 
 from dataclasses import replace
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import scipy.integrate
@@ -19,10 +19,10 @@ from tlab import identities as ids
 from tlab.dynamics import default_xi_grid
 from tlab.forms import DIM, hermitian_from_terms, hermitian_part
 from tlab.lyapunov import (
-    _SWAP, DecayCertificate, LyapunovParams, _tau2_image, case_name, functional_form,
-    functional_recipe,
+    _SWAP, LAMBDA_CAP, CertificateSearchError, DecayCertificate, LyapunovParams, _f_part_matrix,
+    _tau2_image, case_name, functional_form, functional_recipe, select_lambdas,
 )
-from tlab.model import Coupling, Damping, SystemConfig, Tau, hermitian_energy
+from tlab.model import Coupling, Damping, SystemConfig, Tau, generator_batch, hermitian_energy
 
 
 def mode_rhs(cfg: SystemConfig, xi: float, s: np.ndarray) -> np.ndarray:
@@ -166,3 +166,47 @@ def certificate_problems(cfg: SystemConfig, cert: DecayCertificate) -> list[str]
     if cert.worst_xi not in grid:
         problems.append(f"worst_xi = {cert.worst_xi} is not a grid point")
     return problems
+
+
+def certify_complex(cfg: SystemConfig, xi_grid=None) -> DecayCertificate:
+    """lyapunov.certify on the complex matrices, with a full-grid pass for
+    every lambda with c3 > 0: Q = lambda Herm(A*H + HA) + Herm(A*G + GA)
+    from generator_batch and the Hermitian part of F/ftilde."""
+    grid = np.asarray(default_xi_grid() if xi_grid is None else xi_grid, dtype=float)
+    grid = grid[grid != 0.0]
+    params = select_lambdas(cfg)
+    h = hermitian_energy(cfg).matrix
+    hinv_sqrt = 1.0 / np.sqrt(np.real(np.diag(h)))
+    g_mat = hermitian_part(_f_part_matrix(cfg, params, grid)
+                           / envelope.f_tilde(cfg, grid)[:, None, None])
+    f_vals = envelope.f_of_xi(cfg, grid)
+    a = generator_batch(cfg, grid)
+    a_adj = a.conj().swapaxes(-1, -2)
+    drift_f = hermitian_part(a_adj @ g_mat + g_mat @ a)
+    dissip = hermitian_part(a_adj @ h + h @ a)
+    gen_eigs = np.linalg.eigvalsh(hinv_sqrt[:, None] * g_mat * hinv_sqrt,
+                                  UPLO="U")[:, [0, -1]]
+    gen_min = float(np.min(gen_eigs[:, 0]))
+    lam = 1.0
+    while True:
+        if lam + gen_min > 0:
+            q = hinv_sqrt[:, None] * (lam * dissip + drift_f) * hinv_sqrt
+            top = np.linalg.eigvalsh(q, UPLO="U")[:, -1]
+            c_star = -top / f_vals
+            worst = int(np.argmin(c_star))
+            if c_star[worst] > 0:
+                break
+        if lam >= LAMBDA_CAP:
+            raise CertificateSearchError("multiplier cap reached")
+        lam *= 2.0
+    c_min = Decimal(float(c_star[worst]))
+    c1 = min(1.0, float(c_min.quantize(Decimal(1).scaleb(c_min.adjusted() - 2),
+                                       rounding=ROUND_FLOOR)))
+    c3 = lam + gen_min
+    c4 = lam + float(np.max(gen_eigs[:, 1]))
+    return DecayCertificate(
+        big_lambda=lam, c=c1 / c4, c_tilde=c4 * cfg.alpha2 / (c3 * cfg.alpha1), c3=c3,
+        c4=c4, c1=c1, worst_xi=float(grid[worst]),
+        worst_on_edge=worst in (0, grid.size - 1),
+        max_eig_margin=float(np.max(top + c1 * f_vals)), params=params, case=params.case,
+    )

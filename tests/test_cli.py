@@ -13,6 +13,7 @@ import pytest
 from tlab import cli, dynamics, fullline
 from tlab.cli import K3_SCAN, main
 from tlab.envelope import envelope_cell
+from tlab.lyapunov import LAMBDA_CAP
 from tlab.model import ModeState, config_text, hermitian_energy
 from tlab.suite import standard_suite, unstable_reference
 
@@ -93,13 +94,16 @@ class TestExitCodes:
 
     def test_certificate_cap_is_exit_three(self, tmp_path, capsys):
         """The multiplier grows like chi^-2 near k3 = k2: at chi = 1e-6 the
-        search passes LAMBDA_CAP, a numerical failure rather than a verdict."""
+        search passes LAMBDA_CAP, a numerical failure rather than a verdict.
+        The cap's own lambda gets a full-grid pass, so the message names its
+        binding threshold."""
         base = standard_suite()["tau1-type3-first"]
         cfg = tmp_path / "c.cfg"
         cfg.write_text(config_text(replace(base, k3=base.k2 + 1e-6)))
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: multiplier cap reached")
+        assert err.startswith("numerical failure: multiplier cap reached; "
+                              f"at lambda = {LAMBDA_CAP:.6g} the rate threshold c* = ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("subcommand", ["decay", "report"])
@@ -392,6 +396,27 @@ class TestWriters:
         want = ["a,b,c,d"] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
         assert path.read_text() == "\n".join(want) + "\n"
         assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
+
+    @pytest.mark.parametrize("subcommand,name", [
+        ("spectrum-scan", "spectrum.csv"), ("simulate-mode", "mode.csv"), ("decay", "decay.csv"),
+    ])
+    def test_table_bytes_match_per_row_format(self, subcommand, name, stable_config, tmp_path,
+                                              monkeypatch):
+        """The writer formats the whole table at once; its bytes are those of
+        one %-format per row, the writer it replaced."""
+        tables, write = [], cli._write_csv
+
+        def recorded(path, header, rows):
+            tables.append((header, rows))
+            write(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        assert main([subcommand, "--config", str(stable_config), "--out", str(tmp_path),
+                     "--times", "12"]) == 0
+        (header, rows), = tables
+        row_fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+        want = "\n".join([header] + [row_fmt % tuple(row) for row in rows]) + "\n"
+        assert (tmp_path / name).read_bytes() == want.encode()
 
     def test_parser_is_built_once_and_keeps_no_flags(self, stable_config, tmp_path,
                                                      monkeypatch):

@@ -13,12 +13,14 @@ from tlab.lyapunov import (
 )
 from tlab.model import (
     Coupling, Damping, ModeState, SystemConfig, Tau, assemble_generator,
-    generator_batch, hermitian_energy, parse_config_text,
+    generator_batch, hermitian_energy, parse_config_text, real_similarity,
 )
 from tlab.suite import standard_suite, unstable_reference
 
 import oracles
-from conftest import SCAN_ROUNDOFF, TAU3_CELLS, random_config, random_state, recipe_cells
+from conftest import (
+    SCAN_ROUNDOFF, TAU3_CELLS, covering_configs, random_config, random_state, recipe_cells,
+)
 
 CERT_GRID = None  # default grid inside certify()
 
@@ -211,25 +213,137 @@ class TestRateThreshold:
         assert oracles.certificate_problems(cfg, cert) == []
 
     def test_eigvalsh_calls(self, monkeypatch):
-        """One stacked eigvalsh for the equivalence bounds and one per lambda
-        tried with c3 = lambda + min gen_eigs > 0."""
+        """eigvalsh sees the whole grid once for the equivalence bounds and
+        once more per lambda that a probe of a few rows fails to reject: at
+        most 2 full-grid passes plus one per lambda the probe let through
+        and the full pass rejected.  Every lambda with c3 = lambda +
+        min gen_eigs > 0 is probed, and no other lambda reaches eigvalsh."""
         eigvalsh, calls = np.linalg.eigvalsh, []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            eigs = eigvalsh(a, *args, **kwargs)
+            # matrices seen, and whether c* = -lambda_max/f > 0 on every row
+            calls.append((len(a), bool(np.all(eigs[:, -1] < 0))))
+            return eigs
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        skipped = 0
-        for name, cfg in standard_suite().items():
+        default, coarse = default_xi_grid()[1:], _coarse_grid()
+        runs = [(name, cfg, default) for name, cfg in standard_suite().items()]
+        runs += [("probe-miss", _probe_miss_config(), default)]
+        runs += [(f"coarse-{i}", cfg, coarse) for i, cfg in enumerate(_coarse_configs())]
+        skipped, suite_full, probe_rejects_after_full = 0, 0, 0
+        for name, cfg, grid in runs:
             calls.clear()
-            cert = certify(cfg)
+            cert = certify(cfg, grid)
             gen_min = cert.c3 - cert.big_lambda
             tried = [2.0 ** k for k in range(round(math.log2(cert.big_lambda)) + 1)]
             with_c3 = sum(lam + gen_min > 0 for lam in tried)
-            assert len(calls) == with_c3 + 1, name
             skipped += len(tried) - with_c3
+            assert calls[0][0] == grid.size, name
+            solves = calls[1:]
+            probes = [ok for size, ok in solves if size < grid.size]
+            assert len(probes) == with_c3, name
+            assert all(size <= max(8, grid.size // 16 + 2) for size, _ in solves
+                       if size < grid.size), name
+            # a full pass follows exactly the probes that found no c* <= 0
+            for prev, (size, _) in zip(solves, solves[1:]):
+                assert (size == grid.size) == (prev[0] < grid.size and prev[1]), name
+            full = 1 + sum(size == grid.size for size, _ in solves)
+            let_through = sum(probes)
+            assert full <= 2 + (let_through - 1), name
+            assert solves[-1] == (grid.size, True), name
+            if name in standard_suite():
+                suite_full += full
+            first_full = next(i for i, (size, _) in enumerate(solves) if size == grid.size)
+            probe_rejects_after_full += sum(size < grid.size and not ok
+                                            for size, ok in solves[first_full:])
         assert skipped > 0
+        # on the suite the probe rejects every lambda short of the accepted one
+        assert suite_full == 2 * len(standard_suite())
+        # the rows of the last full pass rejected a lambda on their own
+        assert probe_rejects_after_full > 0
+
+
+def _coarse_grid() -> np.ndarray:
+    """20 points per decade, where every 16th point misses the binding region
+    and the probe of a rejected full pass does the rejecting."""
+    return default_xi_grid(1e-2, 1e2, 20, include_zero=False)
+
+
+def _coarse_configs() -> list[SystemConfig]:
+    return covering_configs(np.random.default_rng(7), 1)
+
+
+def _probe_miss_config() -> SystemConfig:
+    """A config whose probe of every 16th grid point passes at a lambda that
+    the full pass rejects; the next lambda is probed on the 8 rows of
+    smallest c*."""
+    return SystemConfig(
+        k1=2.1203426741750704, k2=1.300978546030882, k3=0.4733724004484798,
+        k4=1.7006958319627965, k5=2.3451417472319456, gamma=-0.6244249459324511,
+        tau=Tau.TAU1, damping=Damping.FRICTIONAL, coupling=Coupling.ZERO_ORDER)
+
+
+# (Lambda, c1, worst_xi) of each suite cell on the default grid
+PINNED = {
+    "tau1-frictional-first": (64.0, 0.196, 0.01),
+    "tau1-frictional-zero": (16.0, 0.0476, 0.6683439175686146),
+    "tau1-type3-first": (16.0, 0.204, 1.0),
+    "tau1-type3-zero": (16.0, 0.26, 1.071519305237607),
+    "tau2-frictional-first": (16.0, 0.681, 0.6456542290346556),
+    "tau2-frictional-zero": (16.0, 0.669, 0.5754399373371569),
+    "tau2-type3-first": (16.0, 0.916, 0.6683439175686146),
+    "tau2-type3-first-eq": (16.0, 0.328, 0.6760829753919819),
+    "tau2-type3-zero": (16.0, 0.963, 0.6237348354824191),
+    "tau3-frictional-first": (32.0, 0.125, 0.5754399373371569),
+    "tau3-frictional-zero": (32.0, 0.347, 0.588843655355589),
+    "tau3-type3-first": (32.0, 0.746, 0.6382634861905486),
+    "tau3-type3-first-eq": (16.0, 0.328, 0.6760829753919819),
+    "tau3-type3-zero": (32.0, 0.967, 0.7244359600749902),
+}
+
+
+class TestRealForm:
+    """certify() works on S^-1 (.) S, where every matrix it solves is real."""
+
+    def test_functional_is_real_under_similarity(self):
+        """Im(S^-1 G S) is exactly 0 for G = F/ftilde on the default grid."""
+        grid = default_xi_grid()[1:]
+        cells = [*standard_suite().values(),
+                 *covering_configs(np.random.default_rng(315), 13)]
+        assert len(cells) >= 314
+        for cfg in cells:
+            g = _f_part_matrix(cfg, select_lambdas(cfg), grid) / f_tilde(cfg, grid)[:, None, None]
+            s = real_similarity(cfg)
+            assert np.all((g * (s[None, :] / s[:, None])).imag == 0.0), cfg
+
+    @staticmethod
+    def _oracle_runs():
+        cells = _search_cells()
+        cells["probe-miss"] = _probe_miss_config()
+        runs = [(name, cfg, None) for name, cfg in cells.items()]
+        runs += [(f"covering-{i}", cfg, None)
+                 for i, cfg in enumerate(covering_configs(np.random.default_rng(20), 1))]
+        runs += [(f"coarse-{i}", cfg, _coarse_grid()) for i, cfg in enumerate(_coarse_configs())]
+        return runs
+
+    def test_matches_complex_oracle(self):
+        """The real form with the probe-first search gives the certificate of
+        the complex matrices with a full pass per lambda: the same lambda,
+        c1 and binding point, and constants equal to roundoff."""
+        for name, cfg, grid in self._oracle_runs():
+            got, want = certify(cfg, grid), oracles.certify_complex(cfg, grid)
+            for key in ("big_lambda", "c1", "worst_xi", "worst_on_edge", "case"):
+                assert getattr(got, key) == getattr(want, key), (name, key)
+            for key in ("c", "c3", "c4", "c_tilde"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                          rel=1e-14, abs=0.0), (name, key)
+            assert got.max_eig_margin <= 0.0, name
+            assert got.max_eig_margin == pytest.approx(want.max_eig_margin, rel=1e-9), name
+
+    def test_pinned_suite_certificates(self, suite_certificates):
+        for name, cert in suite_certificates.items():
+            assert (cert.big_lambda, cert.c1, cert.worst_xi) == PINNED[name], name
 
 
 @pytest.mark.parametrize("name", sorted(standard_suite()))

@@ -9,10 +9,12 @@ import oracles
 from tlab.model import (
     ConfigError, Coupling, Damping, ModeState, SystemConfig, Tau,
     assemble_generator, config_text, dissipation_rate, generator_batch,
-    hermitian_energy, parse_config_text, real_similarity,
+    hermitian_energy, parse_config_text, real_generator_batch, real_similarity,
 )
+from tlab.dynamics import default_xi_grid
+from tlab.suite import standard_suite
 
-from conftest import random_config, random_state
+from conftest import covering_configs, random_config, random_state
 
 
 def _cfg(**kw):
@@ -124,6 +126,21 @@ class TestGenerator:
                     a = generator_batch(cfg, rng.uniform(-5.0, 5.0, size=5))
                     similar = a * s[None, :] / s[:, None]
                     assert np.all(similar.imag == 0.0)
+
+
+    def test_real_batch_is_bitwise_the_complex_expression(self):
+        """real_generator_batch builds B from real coefficients, and its bytes
+        are those of (S^-1 A S).real from generator_batch, signed zeros
+        included: eig at xi = 0 sees the sign of a zero."""
+        grids = (default_xi_grid(), np.geomspace(1e-6, 1e6, 97))
+        for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(74), 3)]:
+            s = real_similarity(cfg)
+            for xi in grids:
+                want = (generator_batch(cfg, xi) * (s[None, :] / s[:, None])).real
+                got = real_generator_batch(cfg, xi)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEnergy:
