@@ -177,10 +177,10 @@ def _default_datum() -> fullline.InitialDatum:
 
 
 def _write_diagnostics(out: Path, times: list[float], quad: fullline.NormQuadrature) -> None:
-    """diagnostics.json: the whole-line quadrature's node count and, per
-    time, its error estimate for |d^j U(t)|_{L2}^2."""
+    """diagnostics.json: the whole-line quadrature's node and Levin system
+    counts and, per time, its error estimate for |d^j U(t)|_{L2}^2."""
     _write_json(out / "diagnostics.json", {"quadrature": {
-        "nodes": quad.nodes, "times": [float(t) for t in times],
+        "nodes": quad.nodes, "levin": quad.levin, "times": [float(t) for t in times],
         "errors": quad.errors.tolist()}})
 
 

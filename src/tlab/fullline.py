@@ -34,7 +34,12 @@ other nodes go through expm).  Everything else, the integrand minus the
 Levin terms at the nodes, stays on the Clenshaw-Curtis ladder.  A Levin
 term's error estimate is the difference between Levin on the panel's 33
 nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
-NormQuadrature.errors keeps its meaning.
+NormQuadrature.errors keeps its meaning.  A panel solves each Levin system
+once: its results are held with its nodes while it climbs the ladder, whose
+rungs all share the 33 Levin nodes.  Terms too light to matter are not sent
+to Levin at all: at each time, the lightest ones whose summed L1 mass (twice
+it, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of the tolerance
+stay on the ladder, with that mass added to its estimate.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by 
 EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
 LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
 LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
-LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance below which a panel keeps the plain rule
+LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance the lightest Levin terms may leave on the rule
 
 
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,11 +455,14 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
     the caller has them already) are integrated on the panel's 33 nodes,
     with Levin on its 17 nodes as their error estimate; the rest, the
     integrand minus those terms at the nodes, goes to the panel's
-    Clenshaw-Curtis rule, checked against the rule of twice its stride.  At
-    a time where the panel is negligible, that is where the rule's estimate
-    plus twice the L1 mass of the Levin terms (what aliasing could hide)
-    stays within LEVIN_NEGLIGIBLE of the tolerance tol, the plain rule is
-    kept and that mass is added to its estimate.
+    Clenshaw-Curtis rule, checked against the rule of twice its stride.  A
+    term's mass is twice its L1 mass on the panel (what aliasing could
+    hide).  At each time the lightest terms whose summed mass stays within
+    LEVIN_NEGLIGIBLE of the tolerance tol stay on the rule, and their mass
+    is added to its estimate.  The nodes' held Levin results are reused and
+    only the missing ones solved.  Returns the integral, the estimate, the
+    nodes with every Levin result they now hold, and the number of Levin
+    systems solved.
     """
     f = nodes.f
     val = half * (_CC_W[stride] @ f)
@@ -467,13 +475,17 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
     t, w = times[ti], nodes.w
     a = nodes.amp[:, pair] + np.where(dual >= 0, nodes.amp[:, dual], 0.0)
     terms = 2.0 * a * np.exp(t * (w[:, k].conj() + w[:, l]))
-    hidden = np.zeros(times.size)
-    np.add.at(hidden, ti, 2.0 * half * (_CC_W[stride] @ np.abs(terms)))
-    plain = err + hidden <= LEVIN_NEGLIGIBLE * tol
-    err = err + np.where(plain, hidden, 0.0)
-    use = ~plain[ti]
+    mass = np.zeros((_PAIR_K.size, times.size))
+    mass[pair, ti] = 2.0 * half * (_CC_W[stride] @ np.abs(terms))
+    # per time, the lightest terms whose summed mass stays within LEVIN_NEGLIGIBLE tol
+    order = np.argsort(mass, axis=0, kind="stable")
+    light = np.empty(mass.shape, dtype=bool)
+    np.put_along_axis(light, order, np.take_along_axis(mass, order, axis=0).cumsum(axis=0)
+                      <= LEVIN_NEGLIGIBLE * tol, axis=0)
+    hidden = np.where(light, mass, 0.0).sum(axis=0)
+    use = ~light[pair, ti]
     if not use.any():
-        return val, err, nodes, 0
+        return val, err + hidden, nodes, 0
     k, l, pair, a, t, ti = k[use], l[use], pair[use], a[:, use], t[use], ti[use]
     f = f.copy()
     np.subtract.at(f.T, ti, terms[:, use].real.T)
@@ -482,13 +494,15 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
             if nodes.levin is None else nodes.levin)
     new = np.isnan(held[0, pair, ti])
     if new.any():
-        # the Levin nodes are the same at every stride, so a held result is
+        # every rung reads the same 33 Levin nodes, so a held result is
         # bitwise what solving again would give
+        kn, ln, an = k[new], l[new], a[:, new]
+
         def rule(s: int) -> np.ndarray:
             ws = w[::s // stride]
             dw = _CC_D[s] @ ws
-            return _levin(ws[:, k[new]].conj() + ws[:, l[new]], dw[:, k[new]].conj() + dw[:, l[new]],
-                          a[::s // stride, new], t[new], s, half)
+            return _levin(ws[:, kn].conj() + ws[:, ln], dw[:, kn].conj() + dw[:, ln],
+                          an[::s // stride], t[new], s, half)
 
         held = held.copy()
         held[:, pair[new], ti[new]] = rule(4), rule(8)
@@ -499,7 +513,7 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
     np.add.at(levin, ti, 2.0 * fine.real)
     np.add.at(levin_err, ti, 2.0 * np.abs(fine - coarse))
     val = half * (_CC_W[stride] @ f)
-    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2])) + np.where(plain, hidden, 0.0)
+    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2])) + hidden
     return val + levin, err + levin_err, nodes, 2 * int(np.count_nonzero(new))
 
 
@@ -509,16 +523,17 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     """Per-panel integral and error estimate, shape (panels, times).
 
     Panel k is integrated by _panel_integral on the rule of stride[k],
-    against the current tolerance tol per time (zero before the first
-    round).  held[k], when set, holds the panel's nodes of twice that
-    stride, so only the missing nodes are evaluated.  A new panel takes the modal
+    against the current tolerance tol per time (the floor EPSABS |d^j U0|^2
+    in the first round).  held[k], when set, holds the panel's nodes of
+    twice that stride, with their Levin results, so only the missing nodes
+    are evaluated and only the missing Levin systems solved.  A new panel takes the modal
     split when _levin_terms finds a term for it; a refined panel keeps the
     split it had.  Either way the split needs every node of the panel on
     the eigen path, and its nodes then pass the backward-error guard too.
     Whole panels are evaluated together up to 129 new nodes at a time,
     which bounds the working memory.  Also returns each panel's nodes while
-    it is below 129 points (None otherwise) and the number of nodes
-    evaluated.
+    it is below 129 points (None otherwise), the number of nodes evaluated
+    and the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)
     fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]
@@ -603,16 +618,21 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     or a node off the eigen path.  Everything else, the integrand minus the
     Levin terms, stays on the Clenshaw-Curtis rule.  A panel's error
     estimate is the rule against the nested rule of half its points, plus
-    each Levin integral against Levin on the nested 17 nodes.  After the
-    first round, a panel that is negligible at some time, even counting
-    twice the L1 mass of its Levin terms, keeps the plain rule there, with
-    that mass added to its estimate.  While some time's summed error
-    estimate exceeds max(EPSABS |d^j U0|^2, EPSREL |value|), the panels
+    each Levin integral against Levin on the nested 17 nodes.  At each
+    time, the lightest Levin terms of a panel whose summed mass (twice
+    their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE
+    of the tolerance stay on the rule, with that mass added to its
+    estimate; the first round judges against the floor EPSABS |d^j U0|^2,
+    below which no later tolerance max(EPSABS |d^j U0|^2, EPSREL |value|)
+    falls.  A panel holds its Levin results while it climbs the ladder
+    (the rungs share the 33 Levin nodes), so no system is solved twice.
+    While some time's summed error estimate exceeds the tolerance, the panels
     with the largest estimates are refined: a panel below 129 points moves
     to the next nested rule (65, then 129 points), evaluating only the
     nodes it lacks; a 129-point panel is bisected, both halves at 129 points.
     Refinement also stops when the node budget is spent.  Raises
     QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
+    The result counts the nodes evaluated and the Levin systems solved.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -626,7 +646,7 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
     vals, errs, held, nodes, levin = _panels(cfg, datum, ts, j, lo, hi, stride,
-                                             [None] * lo.size, np.zeros(ts.size))
+                                             [None] * lo.size, np.full(ts.size, floor))
     while True:
         tol = np.maximum(floor, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) > tol

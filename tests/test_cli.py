@@ -271,12 +271,15 @@ class TestArtifacts:
         assert json.loads((out / "report.json").read_text())["decay"]["pass"] is True
 
     def test_decay_and_report_diagnostics(self, stable_config, tmp_path):
-        """decay and report write the node count and the per-time error
-        estimates of the whole-line quadrature behind the decay check."""
+        """decay and report write the node and Levin system counts and the
+        per-time error estimates of the whole-line quadrature behind the
+        decay check."""
         times = fullline.default_times(12)
         quad = fullline.solution_norms_sq(standard_suite()["tau1-type3-first"],
                                           cli._default_datum(), times, 0)
-        want = {"quadrature": {"nodes": quad.nodes, "times": [float(t) for t in times],
+        assert quad.levin > 0
+        want = {"quadrature": {"nodes": quad.nodes, "levin": quad.levin,
+                               "times": [float(t) for t in times],
                                "errors": quad.errors.tolist()}}
         for subcommand in ("decay", "report"):
             out = tmp_path / subcommand

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -493,6 +494,79 @@ class TestLevin:
         assert len(calls) == 3
         np.testing.assert_array_equal(passed[0], found[0])
         np.testing.assert_array_equal(passed[1], found[1])
+
+    def test_no_system_solved_twice(self, monkeypatch):
+        """The four cells of a long decay run, default datum, default_times(7):
+        no Levin system (s, a, t, stride) is solved twice, NormQuadrature.levin
+        counts every one, and there are at most 750 (686 measured; 4,216
+        before panels held their results and light terms stayed on the rule)."""
+        levin, seen = fullline._levin, []
+
+        def spy(s, ds, a, t, stride, half):
+            seen.extend(hash((s[:, c].tobytes(), a[:, c].tobytes(), float(t[c]), stride))
+                        for c in range(t.size))
+            return levin(s, ds, a, t, stride, half)
+
+        monkeypatch.setattr(fullline, "_levin", spy)
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        counted = sum(solution_norms_sq(standard_suite()[name], datum, default_times(7), 0).levin
+                      for name in ["tau1-type3-first", "tau2-type3-first-eq",
+                                   "tau3-frictional-zero", "tau2-frictional-zero"])
+        assert len(set(seen)) == len(seen) == counted <= 750
+
+    def test_held_results_are_exact(self):
+        """A panel climbing from 33 to 65 points reuses the Levin results it
+        holds, and its integral is bitwise the one it gets by solving every
+        system again on the same nodes."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
+        times = np.array([0.0, 100.0])
+        lo, hi, tol = np.array([4.0]), np.array([6.0]), 0 * times
+        first = fullline._panels(cfg, datum, times, 0, lo, hi, np.array([4]), [None], tol)
+        assert first[2][0].levin is not None and first[4] > 0
+        vals, errs, kept, _, solved = fullline._panels(cfg, datum, times, 0, lo, hi,
+                                                       np.array([2]), first[2], tol)
+        val, err, _, again = fullline._panel_integral(replace(kept[0], levin=None), 2, 1.0,
+                                                      times, tol)
+        assert solved < again
+        np.testing.assert_array_equal(vals[0], val)
+        np.testing.assert_array_equal(errs[0], err)
+
+    def test_dropped_mass_is_counted(self, monkeypatch):
+        """tau3-frictional-zero on the panel [1, 2] at t = 100, with a
+        tolerance whose LEVIN_NEGLIGIBLE share covers the five lightest Levin
+        terms and no more: those never reach _levin, every other term does,
+        and the panel's error at t = 100 includes their mass (twice their
+        L1 mass on the panel), which is far above its estimate with every
+        term on Levin."""
+        cfg = standard_suite()["tau3-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = np.array([0.0, 100.0])
+        half = 0.5
+        first = fullline._panels(cfg, datum, times, 0, np.array([1.0]), np.array([2.0]),
+                                 np.array([4]), [None], 0 * times)
+        nodes = replace(first[2][0], levin=None)
+        k, l, pair, dual, ti = fullline._levin_terms(nodes.w, 4, times)
+        assert np.all(ti == 1) and ti.size > 6
+        a = nodes.amp[:, pair] + np.where(dual >= 0, nodes.amp[:, dual], 0.0)
+        terms = 2.0 * a * np.exp(100.0 * (nodes.w[:, k].conj() + nodes.w[:, l]))
+        mass = 2.0 * half * (fullline._CC_W[4] @ np.abs(terms))
+        order = np.argsort(mass)
+        dropped, heavier = order[:5], mass[order[5]]
+        share = mass[dropped].sum()
+        tol = np.array([0.0, (share + 0.5 * heavier) / fullline.LEVIN_NEGLIGIBLE])
+        levin, received = fullline._levin, set()
+
+        def spy(s, ds, a, t, stride, half):
+            received.update(zip(t.tolist(), a[0].tolist()))
+            return levin(s, ds, a, t, stride, half)
+
+        monkeypatch.setattr(fullline, "_levin", spy)
+        _, err, _, solved = fullline._panel_integral(nodes, 4, half, times, tol)
+        assert received == {(100.0, x) for i, x in enumerate(a[0]) if i not in dropped}
+        assert solved == 2 * (ti.size - dropped.size)
+        _, every, _, _ = fullline._panel_integral(nodes, 4, half, times, 0 * times)
+        assert err[1] >= share > 100.0 * every[1]
 
     def test_guards(self):
         """Synthetic panels: four separated linear branches and their
