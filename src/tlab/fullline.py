@@ -37,9 +37,9 @@ nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
 NormQuadrature.errors keeps its meaning.  A panel solves each Levin system
 once: its results are held with its nodes while it climbs the ladder, whose
 rungs all share the 33 Levin nodes.  Terms too light to matter are not sent
-to Levin at all: at each time, the lightest ones whose summed L1 mass (twice
-it, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of the tolerance
-stay on the ladder, with that mass added to its estimate.
+to Levin at all: at each time, the lightest ones whose summed mass (twice
+their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of
+the tolerance stay on the ladder, with that mass added to its estimate.
 """
 
 from __future__ import annotations
@@ -526,9 +526,9 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     against the current tolerance tol per time (the floor EPSABS |d^j U0|^2
     in the first round).  held[k], when set, holds the panel's nodes of
     twice that stride, with their Levin results, so only the missing nodes
-    are evaluated and only the missing Levin systems solved.  A new panel takes the modal
-    split when _levin_terms finds a term for it; a refined panel keeps the
-    split it had.  Either way the split needs every node of the panel on
+    are evaluated and only the missing Levin systems solved.  A new panel
+    takes the modal split when _levin_terms finds a term for it; a refined
+    panel keeps the split it had.  Either way the split needs every node of the panel on
     the eigen path, and its nodes then pass the backward-error guard too.
     Whole panels are evaluated together up to 129 new nodes at a time,
     which bounds the working memory.  Also returns each panel's nodes while
