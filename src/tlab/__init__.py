@@ -6,17 +6,19 @@ either a first-order or a zero-order coupling term.  After a Fourier
 transform in space each frequency xi evolves by a linear ODE
 Uhat_t = A(xi) Uhat on C^8, and everything here is built on that reduction:
 
+* forms      -- Hermitian quadratic forms and the state's component order
 * model      -- parameters, the generator A(xi), the energy form
 * dynamics   -- exact semigroup propagation, spectra, instability witnesses
-* lyapunov   -- the differential-identity catalog and decay certificates
+* identities -- the differential-identity catalog with residual checks
+* lyapunov   -- functional assembly and decay certificates
 * envelope   -- decay envelopes f(xi), auxiliary integral/sup lemmas, rate table
 * fullline   -- Plancherel reconstruction of whole-line Sobolev norms
+* suite      -- the 14 standard configurations and the unstable reference
 * cli        -- command-line front end
 """
 
 from tlab.model import (
     SystemConfig,
-    ModeState,
     GeneratorMatrices,
     Tau,
     Damping,
@@ -31,7 +33,6 @@ from tlab.forms import HermitianForm
 
 __all__ = [
     "SystemConfig",
-    "ModeState",
     "GeneratorMatrices",
     "Tau",
     "Damping",

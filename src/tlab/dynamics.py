@@ -18,11 +18,9 @@ import scipy.linalg
 
 from tlab.forms import DIM, ETA
 from tlab.model import (
-    CaseMismatchError, Coupling, ModeState, SystemConfig, Tau, generator_batch,
-    hermitian_energy, real_generator_batch,
+    CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
+    real_generator_batch, real_similarity,
 )
-
-IMAG_EIG_TOL = 1e-8  # |Re(lam)| <= tol*(1+|lam|) counts as purely imaginary
 
 
 class EigensolverError(RuntimeError):
@@ -30,7 +28,7 @@ class EigensolverError(RuntimeError):
 
 
 class NoImaginaryEigenvalueError(RuntimeError):
-    """No eigenvalue close enough to the imaginary axis was found."""
+    """No neutral eigenvalue with positive imaginary part was found."""
 
 
 @dataclass(frozen=True)
@@ -40,19 +38,28 @@ class SpectrumResult:
     nearest_imaginary_gap: float  # min |Re(lambda)|
 
 
-def propagate(cfg: SystemConfig, xi: float, s0: ModeState, t: float) -> ModeState:
-    """e^{A(xi) t} s0 via scaling-and-squaring matrix exponential."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+def propagate(cfg: SystemConfig, xi: float, u0: np.ndarray,
+              times: Sequence[float]) -> np.ndarray:
+    """e^{A(xi) t} u0 at every time t, shape (T, 8), by one stacked
+    scaling-and-squaring matrix exponential."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    bad = t[~(np.isfinite(t) & (t >= 0))]
+    if bad.size:
+        raise ValueError(f"t must be a finite nonnegative real, got {float(bad[0])!r}")
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    a = generator_batch(cfg, xi)[0]
-    out = scipy.linalg.expm(a * t) @ s0.values
-    return ModeState(values=out, xi=xi)
+    a = generator_batch(cfg, xi)
+    return scipy.linalg.expm(a * t[:, None, None]) @ np.asarray(u0, dtype=complex)
 
 
-def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
-    """Eigenvalues of A(xi) at every grid frequency, shape (n, 8).
+def _energy_sqrt(cfg: SystemConfig) -> np.ndarray:
+    """H^1/2 as its diagonal."""
+    return np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+
+
+def _eigenpairs(cfg: SystemConfig,
+                xi_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and neutral-mode mask at every grid frequency.
 
     One stacked real eigendecomposition of the energy-scaled real generator
     Bt(xi) = H^1/2 S^-1 A(xi) S H^-1/2, which has the spectrum of A.  Since
@@ -62,21 +69,20 @@ def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
     accuracy where eig's real part does not.  A mode whose |v_eta| / |v| lies
     within the first-order eigenvector error 8 eps |Bt|_F / gap (gap: the
     distance to the nearest other eigenvalue) is neutral, Re lam = 0; so is
-    every mode where d = 0.  Each row is sorted by (Re, |Im|, Im): conjugate
-    pairs have conjugate eigenvectors and so equal real parts, they stay
-    adjacent where several neutral modes share Re = 0, and the negative
-    imaginary part comes first.  Every pair must pass the backward-error
-    check |Bt v - lam v| / |v| <= 1e-10 max(|Bt|_2, 1), else EigensolverError
-    names the frequency.  Since |Bt|_F / sqrt(8) <= |Bt|_2, a row whose
-    residuals all pass against 1e-10 max(|Bt|_F / sqrt(8), 1) passes the
-    check; only the other rows pay for the singular values that give |Bt|_2.
+    every mode where d = 0.  Every pair must pass the backward-error check
+    |Bt v - lam v| / |v| <= 1e-10 max(|Bt|_2, 1), else EigensolverError names
+    the frequency.  Since |Bt|_F / sqrt(8) <= |Bt|_2, a row whose residuals
+    all pass against 1e-10 max(|Bt|_F / sqrt(8), 1) passes the check; only
+    the other rows pay for the singular values that give |Bt|_2.  Returns the
+    eigenvalues (n, 8), the eigenvectors v of Bt as columns (n, 8, 8) and the
+    neutral mask (n, 8), unsorted.
     """
     grid = np.asarray(xi_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("xi grid is empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("xi grid has non-finite entries")
-    h_sqrt = np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+    h_sqrt = _energy_sqrt(cfg)
     b = real_generator_batch(cfg, grid) * (h_sqrt[:, None] / h_sqrt)
     try:
         eigvals, eigvecs = np.linalg.eig(b)
@@ -105,6 +111,17 @@ def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
     neutral = ((eta_share * dist.min(axis=2) <= DIM * np.finfo(float).eps * b_frob[:, None])
                | (damping == 0.0))
     eigvals = np.where(neutral, 0.0, -damping * eta_share ** 2) + 1j * eigvals.imag
+    return eigvals, eigvecs, neutral
+
+
+def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
+    """Eigenvalues of A(xi) at every grid frequency, shape (n, 8), from _eigenpairs.
+
+    Each row is sorted by (Re, |Im|, Im): conjugate pairs have conjugate
+    eigenvectors and so equal real parts, they stay adjacent where several
+    neutral modes share Re = 0, and the negative imaginary part comes first.
+    """
+    eigvals = _eigenpairs(cfg, xi_grid)[0]
     order = np.lexsort((eigvals.imag, np.abs(eigvals.imag), eigvals.real), axis=-1)
     return np.take_along_axis(eigvals, order, axis=-1)
 
@@ -139,7 +156,7 @@ def default_xi_grid(
 def _require_chi0_tau1(cfg: SystemConfig) -> None:
     if cfg.tau is not Tau.TAU1:
         raise CaseMismatchError("closed-form determinant requires tau = (1,0,0)")
-    if abs(cfg.chi) > 1e-12 * max(cfg.k2, cfg.k3):
+    if cfg.stable:
         raise CaseMismatchError("closed-form determinant requires k2 = k3 (chi = 0)")
 
 
@@ -171,30 +188,29 @@ def characteristic_det_chi0(cfg: SystemConfig, xi: float, lam: complex) -> compl
 
 
 def nondecay_witness(cfg: SystemConfig, xi: float, t_final: float) -> dict:
-    """Propagate the unit eigenvector of a purely imaginary eigenvalue.
+    """Propagate the eigenvector of a neutral eigenvalue.
 
-    Returns {initial_norm, final_norm, ratio, eigenvalue}.  Fails with an
-    informative error when every eigenvalue has a real-part gap, i.e. when
-    the configuration is not actually in the non-decaying case.
+    The mode is the neutral mode of _eigenpairs with the smallest positive
+    imaginary part, the test spectra applies; its eigenvector v of Bt maps
+    back to u = S H^-1/2 v.  Returns {initial_norm, final_norm, ratio,
+    eigenvalue}.  Fails with NoImaginaryEigenvalueError when no mode with
+    Im > 0 is neutral, i.e. when the configuration is not actually in the
+    non-decaying case.
     """
-    a = generator_batch(cfg, xi)[0]
-    eigvals, eigvecs = scipy.linalg.eig(a)
-    idx = int(np.argmin(np.abs(eigvals.real)))
-    lam = eigvals[idx]
-    if abs(lam.real) > IMAG_EIG_TOL * (1.0 + abs(lam)):
+    eigvals, eigvecs, neutral = (x[0] for x in _eigenpairs(cfg, [xi]))
+    up = np.flatnonzero(neutral & (eigvals.imag > 0))
+    if not up.size:
         raise NoImaginaryEigenvalueError(
-            f"no purely imaginary eigenvalue at xi={xi}: "
-            f"smallest |Re| is {abs(lam.real):.3e} (eigenvalue {lam})"
+            f"no neutral eigenvalue with Im > 0 at xi={xi}: "
+            f"the largest real part is {eigvals.real.max():.3e}"
         )
-    vec = eigvecs[:, idx]
-    vec = vec / np.linalg.norm(vec)
-    s0 = ModeState(values=vec, xi=xi)
-    s1 = propagate(cfg, xi, s0, t_final)
-    initial = math.sqrt(s0.norm_sq)
-    final = math.sqrt(s1.norm_sq)
+    idx = up[np.argmin(eigvals.imag[up])]
+    vec = real_similarity(cfg) * eigvecs[:, idx] / _energy_sqrt(cfg)
+    initial = float(np.linalg.norm(vec))
+    final = float(np.linalg.norm(propagate(cfg, xi, vec, [t_final])[0]))
     return {
         "initial_norm": initial,
         "final_norm": final,
         "ratio": final / initial,
-        "eigenvalue": complex(lam),
+        "eigenvalue": complex(eigvals[idx]),
     }

@@ -133,25 +133,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ModeState:
-    """State of a single Fourier mode at frequency xi."""
-
-    values: np.ndarray
-    xi: float
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.values, dtype=complex).reshape(DIM).copy()
-        if not np.all(np.isfinite(vec.view(float))):
-            raise ValueError("mode state has non-finite entries")
-        vec.setflags(write=False)
-        object.__setattr__(self, "values", vec)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.real(self.values.conj() @ self.values))
-
-
-@dataclass(frozen=True)
 class GeneratorMatrices:
     a0: np.ndarray
     a1: np.ndarray
@@ -258,10 +239,9 @@ def hermitian_energy(cfg: SystemConfig) -> HermitianForm:
     return HermitianForm(np.diag(diag))
 
 
-def dissipation_rate(cfg: SystemConfig, xi: float, s: ModeState | np.ndarray) -> float:
+def dissipation_rate(cfg: SystemConfig, xi: float, s: np.ndarray) -> float:
     """dEhat/dt along the mode flow: -k5 xi^(2 eps0) |etahat|^2."""
-    vec = s.values if isinstance(s, ModeState) else np.asarray(s, dtype=complex)
-    return float(-cfg.k5 * float(xi) ** (2 * cfg.epsilon0) * abs(vec[ETA]) ** 2)
+    return float(-cfg.k5 * float(xi) ** (2 * cfg.epsilon0) * abs(s[ETA]) ** 2)
 
 
 _TAU_KEYS = {"1": Tau.TAU1, "2": Tau.TAU2, "3": Tau.TAU3}

@@ -14,7 +14,7 @@ from tlab import cli, dynamics, fullline
 from tlab.cli import K3_SCAN, main
 from tlab.envelope import envelope_cell
 from tlab.lyapunov import LAMBDA_CAP
-from tlab.model import ModeState, config_text, hermitian_energy
+from tlab.model import config_text, hermitian_energy
 from tlab.suite import standard_suite, unstable_reference
 
 from conftest import SCAN_ROUNDOFF, SCAN_ROUNDOFF_SWEEP, scan_roundoff_config
@@ -138,10 +138,10 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--xi", "1e3"]) == 0
 
     def test_simulate_mode_growth_is_exit_one(self, stable_config, tmp_path, monkeypatch):
-        """A generator with a growing mode raises the energy far above roundoff."""
-        from tlab import model
-        batch = model.generator_batch
-        monkeypatch.setattr(model, "generator_batch",
+        """A generator with a growing mode raises the energy far above roundoff.
+        The patch replaces the name dynamics.propagate reads the generator from."""
+        batch = dynamics.generator_batch
+        monkeypatch.setattr(dynamics, "generator_batch",
                             lambda cfg, xi: batch(cfg, xi) + 0.05 * np.eye(8))
         assert main(["simulate-mode", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--xi", "1e4"]) == 1
@@ -236,20 +236,22 @@ class TestArtifacts:
         assert len(lines) == 13
 
     def test_simulate_mode_matches_propagate(self, stable_config, tmp_path):
-        """The stacked exponential gives each row's per-time propagation."""
+        """Each row is the per-time propagation, to the bit: simulate-mode
+        propagates with dynamics.propagate, and a stacked exponential equals
+        the per-time one."""
         out = tmp_path / "o"
         assert main(["simulate-mode", "--config", str(stable_config), "--out", str(out),
                      "--times", "12", "--xi", "0.137", "--seed", "5"]) == 0
         rows = np.loadtxt(out / "mode.csv", delimiter=",", skiprows=1)
         rng = np.random.default_rng(5)
         vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        s0 = ModeState(values=vec / np.linalg.norm(vec), xi=0.137)
+        s0 = vec / np.linalg.norm(vec)
         cfg = standard_suite()["tau1-type3-first"]
         h = hermitian_energy(cfg)
         for t, norm, energy in rows:
-            s = dynamics.propagate(cfg, 0.137, s0, t)
-            assert norm == pytest.approx(math.sqrt(s.norm_sq), rel=1e-13)
-            assert energy == pytest.approx(h(s.values), rel=1e-13)
+            s = dynamics.propagate(cfg, 0.137, s0, [t])[0]
+            assert norm == math.sqrt(np.real(s.conj() @ s))
+            assert energy == h(s)
 
     def test_spectrum_scan_csv_header(self, stable_config, tmp_path):
         out = tmp_path / "o"

@@ -12,7 +12,7 @@ from tlab.dynamics import (
     spectra, spectrum,
 )
 from tlab.model import (
-    ModeState, Tau, assemble_generator, parse_config_text, real_generator_batch,
+    Tau, assemble_generator, parse_config_text, real_generator_batch,
 )
 from tlab.suite import standard_suite, unstable_reference
 
@@ -26,31 +26,33 @@ class TestPropagate:
             xi = float(rng.uniform(-2.0, 2.0))
             s0 = random_state(rng)
             t = float(rng.uniform(0.5, 5.0))
-            got = propagate(cfg, xi, ModeState(values=s0, xi=xi), t).values
+            got = propagate(cfg, xi, s0, [t])[0]
             want = oracles.integrate_mode(cfg, xi, s0, t)
             assert np.allclose(got, want, rtol=0, atol=1e-8)
 
     def test_zero_time_is_identity(self, rng):
         cfg = random_config(rng)
         s0 = random_state(rng)
-        out = propagate(cfg, 1.3, ModeState(values=s0, xi=1.3), 0.0).values
+        out = propagate(cfg, 1.3, s0, [0.0])[0]
         assert np.allclose(out, s0, atol=1e-15)
 
     def test_semigroup_property(self, rng):
         cfg = random_config(rng)
         xi = 0.7
-        s0 = ModeState(values=random_state(rng), xi=xi)
-        one = propagate(cfg, xi, propagate(cfg, xi, s0, 1.5), 2.5).values
-        two = propagate(cfg, xi, s0, 4.0).values
+        s0 = random_state(rng)
+        one = propagate(cfg, xi, propagate(cfg, xi, s0, [1.5])[0], [2.5])[0]
+        two = propagate(cfg, xi, s0, [4.0])[0]
         assert np.allclose(one, two, atol=1e-11)
 
     def test_rejects_bad_time(self, rng):
         cfg = random_config(rng)
-        s0 = ModeState(values=random_state(rng), xi=1.0)
+        s0 = random_state(rng)
         with pytest.raises(ValueError):
-            propagate(cfg, 1.0, s0, -1.0)
+            propagate(cfg, 1.0, s0, [-1.0])
         with pytest.raises(ValueError):
-            propagate(cfg, 1.0, s0, math.inf)
+            propagate(cfg, 1.0, s0, [0.0, math.inf])
+        with pytest.raises(ValueError):
+            propagate(cfg, math.nan, s0, [1.0])
 
 
 class TestSpectrum:
@@ -262,7 +264,16 @@ class TestNondecayWitness:
         assert abs(w["eigenvalue"].real) <= 1e-10
         assert abs(abs(w["eigenvalue"].imag) - math.sqrt(cfg.k2)) <= 1e-8
 
-    def test_stable_config_has_no_witness(self):
-        cfg = standard_suite()["tau1-type3-first"]
+    def test_witness_is_a_neutral_entry_of_spectra(self):
+        """The witness reads the neutral test of spectra: its eigenvalue is
+        one of the entries spectra marks Re = 0."""
+        cfg = unstable_reference()
+        lam = nondecay_witness(cfg, xi=1.0, t_final=100.0)["eigenvalue"]
+        eigs = spectra(cfg, [1.0])[0]
+        assert lam.imag > 0
+        assert lam in eigs[eigs.real == 0.0]
+
+    @pytest.mark.parametrize("name", sorted(standard_suite()))
+    def test_stable_config_has_no_witness(self, name):
         with pytest.raises(NoImaginaryEigenvalueError):
-            nondecay_witness(cfg, xi=1.0, t_final=10.0)
+            nondecay_witness(standard_suite()[name], xi=1.0, t_final=10.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tlab.model import (
-    ConfigError, Coupling, Damping, ModeState, SystemConfig, Tau,
+    ConfigError, Coupling, Damping, SystemConfig, Tau,
     assemble_generator, config_text, dissipation_rate, generator_batch,
     hermitian_energy, parse_config_text, real_generator_batch, real_similarity,
 )
@@ -178,17 +178,3 @@ class TestEnergy:
         s[7] = 1.0
         assert dissipation_rate(cfg, 0.0, s) == pytest.approx(-cfg.k5)
 
-
-class TestModeState:
-    def test_rejects_nonfinite(self):
-        bad = np.array([np.nan] + [0.0] * 7, dtype=complex)
-        with pytest.raises(ValueError):
-            ModeState(values=bad, xi=1.0)
-
-    def test_values_are_copied_and_frozen(self, rng):
-        raw = random_state(rng)
-        state = ModeState(values=raw, xi=1.0)
-        raw[0] = 99.0
-        assert state.values[0] != 99.0
-        with pytest.raises(ValueError):
-            state.values[0] = 0.0
