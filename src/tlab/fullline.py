@@ -50,13 +50,12 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
 from tlab.forms import DIM
-from tlab.model import SystemConfig, real_generator_batch, real_similarity
-
-TAIL_BUDGET = 1e-16
+from tlab.model import SystemConfig, real_generator_batch, real_similarity, symmetrizer
 
 
 class QuadratureError(RuntimeError):
@@ -74,7 +73,7 @@ class Zero:
     def l2_norm_sq(self, m: int) -> float:
         return 0.0
 
-    def tail_cutoff(self, weight_power: int) -> float:
+    def tail_sq(self, m: int, cutoff: float) -> float:
         return 0.0
 
 
@@ -103,15 +102,19 @@ class Gaussian:
         return (self.amplitude ** 2 * self.width ** 2 * 0.5 * math.gamma(m + 0.5)
                 * (2.0 / self.width ** 2) ** (m + 0.5))
 
-    def tail_cutoff(self, weight_power: int) -> float:
-        """xi beyond which xi^(2w) |ghat|^2 stays under the tail budget."""
-        peak = abs(self.amplitude) * self.width * math.sqrt(math.pi)
-        if peak == 0.0:
+    def tail_sq(self, m: int, cutoff: float) -> float:
+        """(1/pi) int_cutoff^inf xi^{2m} |ghat|^2 dxi: l2_norm_sq(m) with Gamma(m + 1/2)
+        replaced by the upper incomplete Gamma(m + 1/2, w^2 cutoff^2 / 2)."""
+        return self.l2_norm_sq(m) * float(
+            scipy.special.gammaincc(m + 0.5, 0.5 * (self.width * cutoff) ** 2))
+
+    def tail_cutoff(self, m: int, budget: float) -> float:
+        """The smallest cutoff whose tail_sq(m, cutoff) is at most budget."""
+        whole = self.l2_norm_sq(m)
+        if whole <= budget:
             return 0.0
-        xi = max(1.0, 8.0 / self.width)
-        while xi ** (2 * weight_power) * float(np.abs(self.fourier(xi))) ** 2 > TAIL_BUDGET:
-            xi *= 2.0
-        return xi
+        return math.sqrt(2.0 * float(scipy.special.gammainccinv(m + 0.5, budget / whole))
+                         ) / self.width
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,11 @@ class GaussianDerivative:
     def l2_norm_sq(self, m: int) -> float:
         return self._base().l2_norm_sq(m + self.order)
 
-    def tail_cutoff(self, weight_power: int) -> float:
-        return self._base().tail_cutoff(weight_power + self.order)
+    def tail_sq(self, m: int, cutoff: float) -> float:
+        return self._base().tail_sq(m + self.order, cutoff)
+
+    def tail_cutoff(self, m: int, budget: float) -> float:
+        return self._base().tail_cutoff(m + self.order, budget)
 
 
 Profile = Zero | Gaussian | GaussianDerivative
@@ -180,8 +186,16 @@ class InitialDatum:
     def l1_norm(self) -> float:
         return float(sum(p.l1_norm() for p in self.profiles))
 
-    def tail_cutoff(self, weight_power: int) -> float:
-        return max((p.tail_cutoff(weight_power) for p in self.profiles), default=0.0)
+    def tail_sq(self, m: int, cutoff: float) -> float:
+        """(1/pi) int_cutoff^inf xi^{2m} |Uhat0|^2 dxi, summed over the profiles."""
+        return float(sum(p.tail_sq(m, cutoff) for p in self.profiles))
+
+    def tail_cutoff(self, m: int, budget: float) -> float:
+        """A cutoff whose tail_sq(m, cutoff) is at most budget: the largest of
+        the profiles' cutoffs, each for an equal share of the budget among the
+        profiles with mass (0.0 when none has any)."""
+        live = [p for p in self.profiles if p.l2_norm_sq(m) > 0.0]
+        return max((p.tail_cutoff(m, budget / len(live)) for p in live), default=0.0)
 
     def sobolev_norm_sq(self, m: int) -> float:
         """|d^m (datum)|_{L2}^2.
@@ -276,9 +290,11 @@ class NormQuadrature:
     """|d^j U(t)|_{L2}^2 at each requested time, with the quadrature's own record."""
 
     values: np.ndarray   # per time
-    errors: np.ndarray   # error estimate per time, same scale as values
+    errors: np.ndarray   # error estimate per time, same scale as values, tail_bound included
     nodes: int           # frequency nodes evaluated, over all refinement rounds
     levin: int           # Levin systems solved, on 33 and on 17 nodes alike
+    cutoff: float        # the frequencies integrated are [0, cutoff]
+    tail_bound: float    # bound on the norm's part beyond the cutoff, same scale as values
 
 
 @dataclass(frozen=True)
@@ -338,25 +354,28 @@ def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
     """One eigendecomposition of the real B = S^-1 A S per node.
 
     With the real similarity S, |e^{At} u| = |e^{Bt} y0| for y0 = S^-1 u.
-    A node whose eigenvector matrix is singular, or ill-conditioned (1-norm
-    cond(V) above EIG_COND_MAX), fails the guard and gets c = 0.
+    J B is symmetric for the diagonal J of model.symmetrizer, so the rows of
+    V^-1 are W_i = (J v_i)^T / (v_i^T J v_i) wherever the eigenvalues are
+    distinct.  A node fails the guard and gets c = 0 when W is not V's
+    inverse, |W V - I|_1 > EIG_RESID_MAX cond(V) (a repeated eigenvalue, or
+    v_i^T J v_i = 0), or when V is ill-conditioned, 1-norm cond(V) =
+    |V|_1 |W|_1 above EIG_COND_MAX.
     """
     b = real_generator_batch(cfg, xi)
     y0 = uhat0 / real_similarity(cfg)
     w, v = np.linalg.eig(b)
-    try:
-        vinv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:  # some node's V is exactly singular
-        vinv = np.full(v.shape, np.nan, dtype=complex)
-        for i, vi in enumerate(v):
-            try:
-                vinv[i] = np.linalg.inv(vi)
-            except np.linalg.LinAlgError:
-                pass
-    cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    ok = cond <= EIG_COND_MAX   # NaN fails the guard too
+    jv = symmetrizer(cfg)[:, None] * v
+    with np.errstate(divide="ignore", invalid="ignore"):   # v_i^T J v_i = 0 fails below
+        vinv = jv.transpose(0, 2, 1) / np.sum(v * jv, axis=1)[:, :, None]
+        cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
+        resid = np.abs(vinv @ v - np.eye(DIM)).sum(axis=1).max(axis=1)
+    ok = (cond <= EIG_COND_MAX) & (resid <= EIG_RESID_MAX * cond)   # NaN fails too
     vinv[~ok] = 0.0   # keeps inf and NaN out of the batch
-    return _Eigen(b, y0, w, v, np.einsum("nij,nj->ni", vinv, y0), ok)
+    # where eigenvalues cluster, W is V^-1 only up to E = W V - I; one step
+    # of refinement, c + W (y0 - V c), leaves an error of order E^2
+    c = np.einsum("nij,nj->ni", vinv, y0)
+    c += np.einsum("nij,nj->ni", vinv, y0 - np.einsum("nij,nj->ni", v, c))
+    return _Eigen(b, y0, w, v, c, ok)
 
 
 def _backward_ok(e: _Eigen, rows: np.ndarray) -> np.ndarray:
@@ -530,10 +549,13 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     takes the modal split when _levin_terms finds a term for it; a refined
     panel keeps the split it had.  Either way the split needs every node of the panel on
     the eigen path, and its nodes then pass the backward-error guard too.
-    Whole panels are evaluated together up to 129 new nodes at a time,
-    which bounds the working memory.  Also returns each panel's nodes while
-    it is below 129 points (None otherwise), the number of nodes evaluated
-    and the number of Levin systems solved.
+    Whole panels are evaluated together while their new nodes times the
+    number of times stay within 129 x 32 (129 nodes at 32 times), which
+    bounds the working memory; a batch always takes at least one panel.
+    Each node's eigendecomposition is its own LAPACK call, so the batching
+    does not change the results.  Also returns each panel's nodes while it
+    is below 129 points (None otherwise), the number of nodes evaluated and
+    the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)
     fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]
@@ -543,7 +565,8 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     first = levin = 0
     while first < lo.size:
         last, count = first, 0   # the next panels whose new nodes fit one batch
-        while last < lo.size and count + fresh[last].size <= _CC_X.size:
+        while last < lo.size and (last == first or (count + fresh[last].size) * times.size
+                                  <= 32 * _CC_X.size):
             count += fresh[last].size
             last += 1
         batch = range(first, last)
@@ -637,11 +660,16 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     if j < 0:
         raise ValueError("j must be nonnegative")
     ts = _time_grid(times)
-    cutoff = datum.tail_cutoff(j)
-    if cutoff == 0.0:
-        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), 0, 0)
-
     floor = EPSABS * datum.sobolev_norm_sq(j)
+    # |e^{At} u|^2 <= (alpha2/alpha1) |u|^2 bounds the tail beyond the cutoff by
+    # the datum's own tail; the cutoff keeps that bound (times pi, on the scale
+    # of the integral) within LEVIN_NEGLIGIBLE of the floor
+    growth = cfg.alpha2 / cfg.alpha1
+    cutoff = datum.tail_cutoff(j, LEVIN_NEGLIGIBLE * floor / (math.pi * growth))
+    if cutoff == 0.0:
+        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), 0, 0, 0.0, 0.0)
+    tail = math.pi * growth * datum.tail_sq(j, cutoff)
+
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
@@ -649,7 +677,7 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
                                              [None] * lo.size, np.full(ts.size, floor))
     while True:
         tol = np.maximum(floor, EPSREL * np.abs(vals.sum(axis=0)))
-        open_t = errs.sum(axis=0) > tol
+        open_t = errs.sum(axis=0) + tail > tol
         if not open_t.any():
             break
         # per open time, the largest-error panels whose removal would bring
@@ -677,7 +705,7 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
         held = [held[i] for i in keep] + new_held
 
-    total, err = vals.sum(axis=0), errs.sum(axis=0)
+    total, err = vals.sum(axis=0), errs.sum(axis=0) + tail
     failed = ((total != 0.0) & (err > ACCEPT_REL * np.abs(total))) | ~np.isfinite(total + err)
     if failed.any():
         i = int(np.argmax(failed))
@@ -685,7 +713,7 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
             f"solution-norm quadrature achieved error {err[i]} vs value {total[i]} "
             f"at t={ts[i]} after {nodes} nodes"
         )
-    return NormQuadrature(total / math.pi, err / math.pi, nodes, levin)
+    return NormQuadrature(total / math.pi, err / math.pi, nodes, levin, cutoff, tail / math.pi)
 
 
 def sobolev_norm_sq(cfg: SystemConfig, datum: InitialDatum, t: float, j: int) -> float:

@@ -14,10 +14,10 @@ from tlab.fullline import (
     default_times, fit_tail_exponent, sobolev_norm_sq, solution_norms_sq,
     verify_theorem_bound,
 )
-from tlab.model import assemble_generator
+from tlab.model import assemble_generator, generator_batch
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import random_config
+from conftest import covering_configs, random_config
 
 
 class TestProfiles:
@@ -82,6 +82,23 @@ class TestProfiles:
                 lambda x: x ** (2 * m) * abs(complex(profile.fourier(x))) ** 2 / math.pi,
                 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
             assert datum.sobolev_norm_sq(m) == pytest.approx(numeric, rel=1e-12), m
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_tail_closed_form_matches_quadrature(self, order):
+        """(1/pi) int_X^inf xi^{2m} |ghat|^2 by quad at epsrel 1e-13 against
+        the closed form tail_sq, m = 0..2; tail_cutoff lands on its budget."""
+        amplitude, width = -1.3, 0.8
+        profile = (Gaussian(amplitude, width) if order == 0
+                   else GaussianDerivative(order, amplitude, width))
+        for m in range(3):
+            for cutoff in (0.5, 3.0, 9.0):
+                numeric, _ = scipy.integrate.quad(
+                    lambda x: x ** (2 * m) * abs(complex(profile.fourier(x))) ** 2 / math.pi,
+                    cutoff, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+                assert profile.tail_sq(m, cutoff) == pytest.approx(numeric, rel=1e-10), m
+            budget = 1e-17 * profile.l2_norm_sq(m)
+            assert profile.tail_sq(m, profile.tail_cutoff(m, budget)) == pytest.approx(
+                budget, rel=1e-9), m
 
     def test_norm_sums_components_without_quad(self, monkeypatch):
         """Profile data add up their closed forms, with no quad call."""
@@ -166,10 +183,11 @@ class TestSolutionNorms:
 
     @pytest.mark.parametrize("name", sorted(standard_suite()))
     def test_homogeneous_in_amplitude(self, name):
-        """Squared norms are quadratic in the datum and the refinement floor
-        scales with |d^j U0|^2: amplitude 10^-k gives 10^-2k times the
-        amplitude-1 norms to EPSREL, with no QuadratureError.  The node
-        counts may differ, since the tail cutoff's budget is absolute."""
+        """Squared norms are quadratic in the datum, and the refinement floor
+        and the tail cutoff's budget both scale with |d^j U0|^2: amplitude
+        10^-k gives 10^-2k times the amplitude-1 norms to EPSREL, on the same
+        nodes and Levin systems, with no QuadratureError.  Amplitude 2^-10
+        scales every step exactly, so its norms are bitwise 2^-20 times."""
         cfg = standard_suite()[name]
         times = default_times(31)
         unit = solution_norms_sq(cfg, InitialDatum.component(V, Gaussian(1.0, 1.0)), times, 0)
@@ -178,6 +196,11 @@ class TestSolutionNorms:
             got = solution_norms_sq(cfg, datum, times, 0)
             np.testing.assert_allclose(got.values * 10.0 ** (2 * k), unit.values,
                                        rtol=fullline.EPSREL, atol=0.0, err_msg=f"k = {k}")
+            assert (got.nodes, got.levin) == (unit.nodes, unit.levin), k
+        got = solution_norms_sq(cfg, InitialDatum.component(V, Gaussian(2.0 ** -10, 1.0)),
+                                times, 0)
+        np.testing.assert_array_equal(got.values, 2.0 ** -20 * unit.values)
+        np.testing.assert_array_equal(got.errors, 2.0 ** -20 * unit.errors)
 
     def test_default_times(self):
         ts = default_times(11, 1e2)
@@ -204,10 +227,37 @@ class TestBatchedKernel:
         datum = _mixed_datum()
         times = [0.0, 1.0, 10.0]
         for j in (0, 1):
-            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(j),
-                                                   times, j, panels=32)
-            got = solution_norms_sq(cfg, datum, times, j).values
-            assert got == pytest.approx(expected, rel=1e-8)
+            got = solution_norms_sq(cfg, datum, times, j)
+            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, times, j,
+                                                   panels=32)
+            assert got.values == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["tau1-type3-first", "tau2-frictional-zero",
+                                      "tau3-type3-zero"])
+    def test_errors_cover_the_tail(self, name):
+        """Mixed datum, j = 1, t in {0, 1, 10}: the norm beyond the cutoff,
+        by per-node expm on [X, 2X], stays within tail_bound, a bound within
+        LEVIN_NEGLIGIBLE of the floor; and the reported errors cover the
+        distance to per-node expm on [0, 2X], up to roundoff."""
+        cfg = standard_suite()[name]
+        datum = _mixed_datum()
+        times = [0.0, 1.0, 10.0]
+        got = solution_norms_sq(cfg, datum, times, 1)
+        floor = fullline.EPSABS * datum.sobolev_norm_sq(1)
+        assert 0.0 < math.pi * got.tail_bound <= fullline.LEVIN_NEGLIGIBLE * floor
+        x, w = np.polynomial.legendre.leggauss(40)
+        half = 0.5 * got.cutoff
+        tail = np.zeros(len(times))
+        for xk, wk in zip(got.cutoff + half * (x + 1.0), half * w):
+            a = oracles.generator_longhand(cfg, float(xk))
+            for i, t in enumerate(times):
+                vec = scipy.linalg.expm(a * t) @ datum.fourier(float(xk))
+                tail[i] += wk * xk ** 2 * np.vdot(vec, vec).real / math.pi
+        assert tail[0] == pytest.approx(datum.tail_sq(1, got.cutoff), rel=1e-6)
+        assert np.all(tail <= got.tail_bound)
+        want = np.array(oracles.plancherel_norms_sq(cfg, datum.fourier, 2.0 * got.cutoff,
+                                                    times, 1, panels=64))
+        assert np.all(np.abs(got.values - want) <= got.errors + 1e-13 * want)
 
     def test_long_time_frictional_zero_completes(self):
         """tau2-frictional-zero raised QuadratureError near t = 2154."""
@@ -238,6 +288,47 @@ class TestBatchedKernel:
         monkeypatch.undo()
         assert forced_norms == pytest.approx(
             solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values, rel=1e-10)
+
+    def test_coefficients_match_solve(self):
+        """c read off the J-orthogonal rows (J v_i)^T / (v_i^T J v_i) matches
+        np.linalg.solve(V, y0) to 1e-12 at every node that passes the guard,
+        on the 14 cells and covering_configs, with random complex data."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 399)))
+        rng = np.random.default_rng(77)
+        uhat0 = rng.standard_normal((xi.size, 8)) + 1j * rng.standard_normal((xi.size, 8))
+        for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(76), 2)]:
+            e = fullline._eigen(cfg, xi, uhat0)
+            assert np.count_nonzero(e.ok) >= 0.8 * xi.size
+            want = np.linalg.solve(e.v[e.ok], e.y0[e.ok][..., None])[..., 0]
+            err = np.abs(e.c[e.ok] - want).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=1)), cfg
+
+    def test_repeated_eigenvalue_fails_the_guard(self, monkeypatch):
+        """At xi = 0 the eigenvalue 0 of B is repeated, and any basis of its
+        eigenspace is a valid eig result.  With two of its eigenvectors mixed,
+        the rows (J v_i)^T / (v_i^T J v_i) are no inverse of V: that node
+        fails the guard and gets the expm value, and the others keep the
+        eigen path."""
+        cfg = standard_suite()["tau2-type3-first"]
+        datum = _mixed_datum()
+        xi, times = np.array([0.0, 0.5, 2.0]), np.array([0.0, 1.0, 10.0])
+        assert fullline._eigen(cfg, xi, datum.fourier(xi).T).ok.all()
+        real_eig = np.linalg.eig
+
+        def mixed(b):
+            w, v = real_eig(b)
+            zero = np.flatnonzero(w[0] == 0.0)
+            v[0, :, zero[0]] = (v[0, :, zero[0]] + v[0, :, zero[1]]) / math.sqrt(2.0)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", mixed)
+        e = fullline._eigen(cfg, xi, datum.fourier(xi).T)
+        assert np.abs(e.b[0] @ e.v[0] - e.v[0] * e.w[0]).max() <= 1e-15   # still an eigenbasis
+        assert e.ok.tolist() == [False, True, True]
+        got = fullline._mode_norms_sq(e, times)[0]
+        y = [scipy.linalg.expm(generator_batch(cfg, 0.0)[0] * t) @ datum.fourier(0.0)
+             for t in times]
+        np.testing.assert_allclose(got, [np.vdot(v, v).real for v in y], rtol=1e-12)
 
     def test_series_matches_single_times(self):
         cfg = standard_suite()["tau3-type3-zero"]
@@ -283,10 +374,10 @@ class TestOrderLadder:
             datum = InitialDatum(profiles=tuple(profiles))
             j = int(rng.integers(0, 3))
             times = [0.0, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.0, 10.0))]
-            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(j),
-                                                   times, j, panels=48)
-            got = solution_norms_sq(cfg, datum, times, j).values
-            assert got == pytest.approx(expected, rel=1e-8), (cfg, j, times)
+            got = solution_norms_sq(cfg, datum, times, j)
+            expected = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, times, j,
+                                                   panels=48)
+            assert got.values == pytest.approx(expected, rel=1e-8), (cfg, j, times)
 
     def test_short_time_nodes(self):
         """A smooth short-time integrand settles on the lower rules of its
@@ -359,6 +450,21 @@ class TestLayout:
             deviation = np.abs(got[name].values - tight.values)
             assert np.all(deviation <= got[name].errors + tight.errors
                           + 1e-13 * tight.values), name
+
+    def test_first_cell_at_t100_errors_cover_the_oracle(self):
+        """tau1-type3-first, default datum, default_times(7): at t = 100 the
+        reported error covers the distance to per-node expm on 100 panels of
+        20-point Gauss-Legendre (accurate to about 1.5e-13).  A schedule that
+        started bisected halves at 65 points reported 8.7e-10 relative here
+        while missing by 1.0e-8."""
+        cfg = standard_suite()["tau1-type3-first"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = default_times(7)
+        i = times.index(100.0)
+        got = solution_norms_sq(cfg, datum, times, 0)
+        want = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, [100.0], 0,
+                                           panels=100)[0]
+        assert abs(got.values[i] - want) <= got.errors[i] + 1e-12 * got.values[i]
 
     @pytest.mark.xfail(strict=True, reason="the estimate misses aliased modal terms kept "
                                            "off Levin where four branches meet at xi = 0")
@@ -458,9 +564,9 @@ class TestLevin:
         cfg = standard_suite()[name]
         datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
         times = [0.0, 100.0]
-        expected = oracles.plancherel_norms_sq(cfg, datum.fourier, datum.tail_cutoff(0),
-                                               times, 0, panels=48)
         got = solution_norms_sq(cfg, datum, times, 0)
+        expected = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, times, 0,
+                                               panels=48)
         assert got.values == pytest.approx(expected, rel=1e-10)
 
     def test_default_grid_nodes(self):
@@ -640,10 +746,10 @@ class TestLevin:
         target.append(split_xi[0])
         hits.clear()
         monkeypatch.setattr(fullline, "_levin_terms", spy)
-        got = solution_norms_sq(cfg, datum, times, 0).values
+        got = solution_norms_sq(cfg, datum, times, 0)
         assert hits and not all(closed)   # the perturbed node reached the Levin selection ...
-        assert got == pytest.approx(oracles.plancherel_norms_sq(   # ... and went to expm
-            cfg, datum.fourier, datum.tail_cutoff(0), times, 0, panels=48), rel=1e-10)
+        assert got.values == pytest.approx(oracles.plancherel_norms_sq(   # ... and went to expm
+            cfg, datum.fourier, got.cutoff, times, 0, panels=48), rel=1e-10)
 
 
 class TestTailFit:

@@ -9,7 +9,7 @@ import oracles
 from tlab.model import (
     ConfigError, Coupling, Damping, SystemConfig, Tau,
     assemble_generator, config_text, dissipation_rate, generator_batch,
-    hermitian_energy, parse_config_text, real_generator_batch, real_similarity,
+    hermitian_energy, parse_config_text, real_generator_batch, real_similarity, symmetrizer,
 )
 from tlab.dynamics import default_xi_grid
 from tlab.suite import standard_suite
@@ -141,6 +141,17 @@ class TestGenerator:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
                 assert got.tobytes() == want.tobytes()
+
+    def test_symmetrizer_makes_the_real_generator_symmetric(self):
+        """J B(xi) is exactly symmetric, J = P H with H twice the energy
+        matrix and P = -1 on (u, y, theta, sigma), on the 14 cells and
+        covering_configs at 400 frequencies."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 399)))
+        for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(75), 2)]:
+            j = symmetrizer(cfg)
+            assert np.array_equal(np.abs(j), 2.0 * np.diag(hermitian_energy(cfg).matrix).real)
+            jb = j[:, None] * real_generator_batch(cfg, xi)
+            assert np.array_equal(jb, jb.transpose(0, 2, 1)), cfg
 
 
 class TestEnergy:
