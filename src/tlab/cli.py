@@ -168,11 +168,12 @@ def _default_datum() -> fullline.InitialDatum:
 
 
 def _write_diagnostics(out: Path, times: list[float], quad: fullline.NormQuadrature) -> None:
-    """diagnostics.json: the whole-line quadrature's node and Levin system
-    counts, its frequency cutoff and the bound on the norm beyond it, and,
-    per time, its error estimate for |d^j U(t)|_{L2}^2 (the bound included)."""
+    """diagnostics.json: the whole-line quadrature's node count, how many of
+    those nodes were eigendecomposed, its Levin system count, its frequency
+    cutoff and the bound on the norm beyond it, and, per time, its error
+    estimate for |d^j U(t)|_{L2}^2 (the bound included)."""
     _write_json(out / "diagnostics.json", {"quadrature": {
-        "nodes": quad.nodes, "levin": quad.levin, "cutoff": quad.cutoff,
+        "nodes": quad.nodes, "eig": quad.eig, "levin": quad.levin, "cutoff": quad.cutoff,
         "tail_bound": quad.tail_bound, "times": [float(t) for t in times],
         "errors": quad.errors.tolist()}})
 

@@ -18,8 +18,8 @@ import scipy.linalg
 
 from tlab.forms import DIM, ETA
 from tlab.model import (
-    CaseMismatchError, Coupling, SystemConfig, Tau, generator_batch, hermitian_energy,
-    real_generator_batch, real_similarity,
+    CaseMismatchError, Coupling, SystemConfig, Tau, energy_generator_batch, energy_sqrt,
+    generator_batch, real_similarity,
 )
 
 
@@ -52,19 +52,15 @@ def propagate(cfg: SystemConfig, xi: float, u0: np.ndarray,
     return scipy.linalg.expm(a * t[:, None, None]) @ np.asarray(u0, dtype=complex)
 
 
-def _energy_sqrt(cfg: SystemConfig) -> np.ndarray:
-    """H^1/2 as its diagonal."""
-    return np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
-
-
 def _eigenpairs(cfg: SystemConfig,
                 xi_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors and neutral-mode mask at every grid frequency.
 
     One stacked real eigendecomposition of the energy-scaled real generator
-    Bt(xi) = H^1/2 S^-1 A(xi) S H^-1/2, which has the spectrum of A.  Since
-    Bt + Bt^T = -2 d E_eta with d = k5 xi^(2 eps0), each eigenpair (lam, v)
-    satisfies Re lam = -d |v_eta|^2 / |v|^2 exactly; the real parts are taken
+    Bt(xi) = H^1/2 S^-1 A(xi) S H^-1/2 of model.energy_generator_batch,
+    which has the spectrum of A.  Since Bt + Bt^T = -2 d E_eta with
+    d = k5 xi^(2 eps0), each eigenpair (lam, v) satisfies
+    Re lam = -d |v_eta|^2 / |v|^2 exactly; the real parts are taken
     from this identity, which is never positive and keeps its relative
     accuracy where eig's real part does not.  A mode whose |v_eta| / |v| lies
     within the first-order eigenvector error 8 eps |Bt|_F / gap (gap: the
@@ -82,8 +78,7 @@ def _eigenpairs(cfg: SystemConfig,
         raise ValueError("xi grid is empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("xi grid has non-finite entries")
-    h_sqrt = _energy_sqrt(cfg)
-    b = real_generator_batch(cfg, grid) * (h_sqrt[:, None] / h_sqrt)
+    b = energy_generator_batch(cfg, grid)
     try:
         eigvals, eigvecs = np.linalg.eig(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n=8
@@ -205,7 +200,7 @@ def nondecay_witness(cfg: SystemConfig, xi: float, t_final: float) -> dict:
             f"the largest real part is {eigvals.real.max():.3e}"
         )
     idx = up[np.argmin(eigvals.imag[up])]
-    vec = real_similarity(cfg) * eigvecs[:, idx] / _energy_sqrt(cfg)
+    vec = real_similarity(cfg) * eigvecs[:, idx] / energy_sqrt(cfg)
     initial = float(np.linalg.norm(vec))
     final = float(np.linalg.norm(propagate(cfg, xi, vec, [t_final])[0]))
     return {

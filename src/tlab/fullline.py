@@ -30,7 +30,7 @@ stationary point of the phase, no branch nearly colliding with another
 (gap against rate of change, LEVIN_GAP), conjugate pairs that stay pairs
 across the panel, and every node of the panel on the eigen path (cond(V)
 within EIG_COND_MAX and the 1-norm backward error within EIG_RESID_MAX;
-other nodes go through expm).  Everything else, the integrand minus the
+other nodes go through _expm).  Everything else, the integrand minus the
 Levin terms at the nodes, stays on the Clenshaw-Curtis ladder.  A Levin
 term's error estimate is the difference between Levin on the panel's 33
 nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
@@ -40,22 +40,33 @@ rungs all share the 33 Levin nodes.  Terms too light to matter are not sent
 to Levin at all: at each time, the lightest ones whose summed mass (twice
 their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of
 the tolerance stay on the ladder, with that mass added to its estimate.
+
+A node needs the eigendecomposition only for the modal split.  On a grid of
+at most EXPM_MAX_TIMES positive times, a panel that can never carry a Levin
+term propagates its new nodes by _expm instead, a batched real Pade 13
+exponential with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+2005): a refined panel without a split, or a new panel where 4 t_max |K|_2
+stays within LEVIN_TURN at both ends, K the skew part of the energy-scaled
+generator, which bounds every |Im w| there.  The route moves the integrand
+by roundoff only: no panel layout, split, node or Levin system changes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
 from tlab.forms import DIM
-from tlab.model import SystemConfig, real_generator_batch, real_similarity, symmetrizer
+from tlab.model import (
+    SystemConfig, energy_generator_batch, real_generator_batch, real_similarity, symmetrizer,
+)
 
 
 class QuadratureError(RuntimeError):
@@ -117,6 +128,19 @@ class Gaussian:
                          ) / self.width
 
 
+@functools.cache
+def _hermite_variation(n: int) -> float:
+    """Total variation of H_{n-1}(x) e^{-x^2}, the (n-1)-th derivative of a unit
+    Gaussian up to sign, read off at its extrema.
+
+    g^(k)(x) = a (-1/w)^k H_k(x/w) e^{-x^2/w^2}, so the extrema of g^(n-1)
+    sit at the roots of H_n, and g^(n-1) vanishes at both ends.
+    """
+    roots = np.polynomial.hermite.hermroots([0] * n + [1])
+    prev = np.polynomial.hermite.hermval(roots, [0] * (n - 1) + [1]) * np.exp(-roots ** 2)
+    return float(np.sum(np.abs(np.diff(np.concatenate(([0.0], prev, [0.0]))))))
+
+
 @dataclass(frozen=True)
 class GaussianDerivative:
     """order-th derivative of a Gaussian; transform (i xi)^order * Gaussian."""
@@ -139,16 +163,9 @@ class GaussianDerivative:
         return (1j * xi) ** self.order * self._base().fourier(xi)
 
     def l1_norm(self) -> float:
-        """Total variation of the previous derivative, read off at its extrema.
-
-        g^(k)(x) = a (-1/w)^k H_k(x/w) e^{-x^2/w^2}, so the extrema of
-        g^(n-1) sit at the roots of H_n, and g^(n-1) vanishes at both ends.
-        """
+        """|a| w^(1-n) times the order's _hermite_variation."""
         n = self.order
-        roots = np.polynomial.hermite.hermroots([0] * n + [1])
-        prev = np.polynomial.hermite.hermval(roots, [0] * (n - 1) + [1]) * np.exp(-roots ** 2)
-        variation = np.sum(np.abs(np.diff(np.concatenate(([0.0], prev, [0.0])))))
-        return float(abs(self.amplitude) * self.width ** (1 - n) * variation)
+        return float(abs(self.amplitude) * self.width ** (1 - n) * _hermite_variation(n))
 
     def l2_norm_sq(self, m: int) -> float:
         return self._base().l2_norm_sq(m + self.order)
@@ -215,8 +232,13 @@ EPSREL = 1e-9
 EPSABS = 1e-13             # times |d^j U0|_{L2}^2, so rescaled data refine alike
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
-EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by expm
+EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by _expm
 EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
+# A node costs one eigendecomposition and its guards (about 20 us) on the eigen
+# path, or about 4 us per positive time through _expm.  On 60 seeded short-time
+# norms the route took 0.70-0.89 of the eigen path's time at 3 positive times
+# and 1.08 at 4; with more positive times than this, every node takes the eigen path
+EXPM_MAX_TIMES = 3
 LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
 LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
 LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance the lightest Levin terms may leave on the rule
@@ -292,6 +314,7 @@ class NormQuadrature:
     values: np.ndarray   # per time
     errors: np.ndarray   # error estimate per time, same scale as values, tail_bound included
     nodes: int           # frequency nodes evaluated, over all refinement rounds
+    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to _expm)
     levin: int           # Levin systems solved, on 33 and on 17 nodes alike
     cutoff: float        # the frequencies integrated are [0, cutoff]
     tail_bound: float    # bound on the norm's part beyond the cutoff, same scale as values
@@ -328,7 +351,7 @@ class _Eigen:
     w: np.ndarray
     v: np.ndarray
     c: np.ndarray
-    ok: np.ndarray   # passed the guards; the other nodes are propagated by expm
+    ok: np.ndarray   # passed the guards; the other nodes are propagated by _expm
 
 
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
@@ -386,19 +409,69 @@ def _backward_ok(e: _Eigen, rows: np.ndarray) -> np.ndarray:
     return resid <= EIG_RESID_MAX * scale
 
 
+# The [13/13] Pade approximant of e^X, X = B t / 2^s, with s >= 0 that brings
+# |X|_1 within THETA13, where its backward error stays below the unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3 and Algorithm 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(b: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{Bt} for every real matrix B of the stack b (n, 8, 8) and every time,
+    shape (times, n, 8, 8), by scaling and squaring on the Pade 13 approximant.
+
+    Each B t gets its own s; the matrices are sorted by it, so the j-th
+    squaring is one batched matmul on the contiguous tail of the stack that
+    still needs it.  Scaling by 2^-s is exact.
+    """
+    norm = np.outer(times, np.abs(b).sum(axis=1).max(axis=1)).ravel()   # |B t|_1
+    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)   # |B t|_1 / THETA13 <= 2^s
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    ti, node = np.divmod(order, b.shape[0])
+    x = b[node] * (times[ti] * np.ldexp(1.0, -s))[:, None, None]
+    c = _PADE13
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    eye = np.eye(DIM)
+    u = x @ (x6 @ (c[13] * x6 + c[11] * x4 + c[9] * x2)
+             + c[7] * x6 + c[5] * x4 + c[3] * x2 + c[1] * eye)
+    v = x6 @ (c[12] * x6 + c[10] * x4 + c[8] * x2) + c[6] * x6 + c[4] * x4 + c[2] * x2 + c[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for step in range(int(s[-1]) if s.size else 0):
+        tail = int(np.searchsorted(s, step, side="right"))
+        r[tail:] = r[tail:] @ r[tail:]
+    out = np.empty_like(r)
+    out[order] = r
+    return out.reshape(times.size, *b.shape)
+
+
+def _propagated_norms_sq(b: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|e^{Bt} y0|^2 for every node (rows) and time (columns) by _expm, and
+    |y0|^2 directly at t = 0."""
+    out = np.empty((b.shape[0], times.size))
+    out[:, times == 0.0] = np.sum(y0.real ** 2 + y0.imag ** 2, axis=1)[:, None]
+    live = np.flatnonzero(times)
+    if live.size:
+        parts = np.stack((y0.real, y0.imag), axis=-1)   # e^{Bt} is real: (n, 8, 2)
+        out[:, live] = np.sum((_expm(b, times[live]) @ parts) ** 2, axis=(2, 3)).T
+    return out
+
+
 def _mode_norms_sq(e: _Eigen, times: np.ndarray) -> np.ndarray:
     """|e^{Bt} y0|^2 for every node (rows) and time (columns).
 
     V (e^{wt} c) at the nodes that passed the guards serves every time; the
-    others are propagated by one stacked matrix exponential.
+    others are propagated by _expm.
     """
     y = (np.exp(e.w[:, None, :] * times[None, :, None]) * e.c[:, None, :]) @ e.v.transpose(0, 2, 1)
     out = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
     bad = np.flatnonzero(~e.ok)
     if bad.size:
-        prop = scipy.linalg.expm(e.b[bad][:, None] * times[None, :, None, None])
-        y = np.einsum("ntij,nj->nti", prop, e.y0[bad])
-        out[bad] = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
+        out[bad] = _propagated_norms_sq(e.b[bad], e.y0[bad], times)
     return out
 
 
@@ -536,78 +609,139 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
     return val + levin, err + levin_err, nodes, 2 * int(np.count_nonzero(new))
 
 
+def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                held: list[_Nodes | None]) -> np.ndarray:
+    """Per panel, whether its new nodes go through _expm instead of _eigen.
+
+    Only when the times hold at most EXPM_MAX_TIMES positive ones, and only
+    for a panel that can never carry a Levin term: a refined panel that
+    holds no modal split, or a new panel with 4 t_max |K|_2 <= LEVIN_TURN
+    at both ends, K the skew part of model.energy_generator_batch.  Every
+    eigenvalue has |Im| <= |K(xi)|_2, which is convex in xi since K is
+    affine, so no branch's Im swings by more than twice the larger of
+    |K(lo)|_2 and |K(hi)|_2, and _eigen_nodes' screen 2 swing t_max >
+    LEVIN_TURN cannot pass there; the factor 1 - 1e-6 keeps the
+    eigenvalues' roundoff on the safe side.  The route depends on the
+    config, the times and the panel only.
+    """
+    if np.count_nonzero(times) > EXPM_MAX_TIMES:
+        return np.zeros(lo.size, dtype=bool)
+    new = np.array([h is None for h in held], dtype=bool)
+    route = np.array([h is not None and h.w is None for h in held], dtype=bool)
+    if new.any():
+        b = energy_generator_batch(cfg, np.concatenate((lo[new], hi[new])))
+        reach = 0.5 * np.linalg.norm(b - b.transpose(0, 2, 1), 2, axis=(1, 2))
+        route[new] = (4.0 * times.max() * np.maximum(*reach.reshape(2, -1))
+                      <= (1.0 - 1e-6) * LEVIN_TURN)
+    return route
+
+
+def _batches(fresh: list[np.ndarray], route: np.ndarray, n_times: int):
+    """Panels of one route at a time, in order, whose new nodes times n_times
+    stay within 129 x 32 (129 nodes at 32 times); a batch always takes at
+    least one panel."""
+    for group in (np.flatnonzero(route), np.flatnonzero(~route)):
+        first = 0
+        while first < group.size:
+            last, count = first, 0
+            while last < group.size and (last == first or (count + fresh[group[last]].size)
+                                         * n_times <= 32 * _CC_X.size):
+                count += fresh[group[last]].size
+                last += 1
+            yield group[first:last]
+            first = last
+
+
+def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: np.ndarray,
+                 spans: list[slice], held: list[_Nodes | None], stride: np.ndarray,
+                 times: np.ndarray) -> tuple[list[_Nodes], list]:
+    """The integrand at a batch of panels' new nodes (spans) by _eigen.
+
+    A new panel takes the modal split when _levin_terms finds a term for it;
+    a refined panel keeps the split it had.  Either way the split needs
+    every node of the panel on the eigen path, and its nodes then pass the
+    backward-error guard too.  Returns each panel's nodes, with the split
+    where it has one, and each new panel's Levin terms (None where
+    _levin_terms did not run).
+    """
+    e = _eigen(cfg, xi, uhat0)
+    order = np.lexsort((e.w.real, e.w.imag))
+    w = np.take_along_axis(e.w, order, axis=1)
+    # twice the widest swing of one branch's Im bounds every term's turn
+    starts = [rows.start for rows in spans]
+    swing = (np.maximum.reduceat(w.imag, starts) - np.minimum.reduceat(w.imag, starts)).max(axis=1)
+    split = np.zeros(xi.size, dtype=bool)
+    terms: list = [None] * len(spans)
+    for i, rows in enumerate(spans):
+        if not e.ok[rows].all():
+            continue
+        if held[i] is not None:
+            split[rows] = held[i].w is not None
+        elif 2.0 * swing[i] * times.max() > LEVIN_TURN:
+            terms[i] = _levin_terms(w[rows], stride[i], times)
+            split[rows] = terms[i][-1].size > 0
+    rows = np.flatnonzero(split)
+    amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
+    if rows.size:
+        ok = e.ok.copy()
+        ok[rows] &= _backward_ok(e, rows)
+        e = replace(e, ok=ok)
+        amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
+    f = _mode_norms_sq(e, times) * weight
+    return [_Nodes(f[rows], w[rows], amp[rows]) if split[rows.start] and e.ok[rows].all()
+            else _Nodes(f[rows]) for rows in spans], terms
+
+
 def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
             lo: np.ndarray, hi: np.ndarray, stride: np.ndarray, held: list[_Nodes | None],
-            tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, int, int]:
+            tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, tuple[int, int], int]:
     """Per-panel integral and error estimate, shape (panels, times).
 
     Panel k is integrated by _panel_integral on the rule of stride[k],
     against the current tolerance tol per time (the floor EPSABS |d^j U0|^2
     in the first round).  held[k], when set, holds the panel's nodes of
     twice that stride, with their Levin results, so only the missing nodes
-    are evaluated and only the missing Levin systems solved.  A new panel
-    takes the modal split when _levin_terms finds a term for it; a refined
-    panel keeps the split it had.  Either way the split needs every node of the panel on
-    the eigen path, and its nodes then pass the backward-error guard too.
-    Whole panels are evaluated together while their new nodes times the
-    number of times stay within 129 x 32 (129 nodes at 32 times), which
-    bounds the working memory; a batch always takes at least one panel.
-    Each node's eigendecomposition is its own LAPACK call, so the batching
-    does not change the results.  Also returns each panel's nodes while it
-    is below 129 points (None otherwise), the number of nodes evaluated and
-    the number of Levin systems solved.
+    are evaluated and only the missing Levin systems solved.  The new nodes
+    of a panel that _expm_route sends there are propagated by _expm and
+    never split into modal terms; the others go through _eigen_nodes.  The
+    route picks the cheaper kernel only where it cannot change which terms
+    go to Levin, so it changes the integrand by roundoff and nothing else.
+    Panels of one route are evaluated together while their new nodes times
+    the number of times stay within 129 x 32, which bounds the working
+    memory.  Each node's eigendecomposition is its own LAPACK call and each
+    node's exponential its own scaling, so the batching does not change the
+    results.  Also returns each panel's nodes while it is below 129 points
+    (None otherwise), the numbers of nodes evaluated and of those that went
+    through np.linalg.eig, and the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)
     fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]
+    route = _expm_route(cfg, times, lo, hi, held)
     vals = np.empty((lo.size, times.size))
     errs = np.empty((lo.size, times.size))
-    kept: list[_Nodes | None] = []
-    first = levin = 0
-    while first < lo.size:
-        last, count = first, 0   # the next panels whose new nodes fit one batch
-        while last < lo.size and (last == first or (count + fresh[last].size) * times.size
-                                  <= 32 * _CC_X.size):
-            count += fresh[last].size
-            last += 1
-        batch = range(first, last)
+    kept: list[_Nodes | None] = [None] * lo.size
+    levin = eig = 0
+    for batch in _batches(fresh, route, times.size):
         xi = np.concatenate([lo[k] + half[k] * (1.0 + fresh[k]) for k in batch])
-        e = _eigen(cfg, xi, datum.fourier(xi).T)
+        uhat0 = datum.fourier(xi).T
+        weight = (xi ** (2 * j))[:, None]
         bounds = np.cumsum([0] + [fresh[k].size for k in batch])
         spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        order = np.lexsort((e.w.real, e.w.imag))
-        w = np.take_along_axis(e.w, order, axis=1)
-        # twice the widest swing of one branch's Im bounds every term's turn
-        swing = (np.maximum.reduceat(w.imag, bounds[:-1])
-                 - np.minimum.reduceat(w.imag, bounds[:-1])).max(axis=1)
-        split = np.zeros(xi.size, dtype=bool)
-        terms: dict[int, tuple[np.ndarray, ...]] = {}   # a new panel's Levin terms
-        for i, (k, rows) in enumerate(zip(batch, spans)):
-            if not e.ok[rows].all():
-                continue
-            if held[k] is not None:
-                split[rows] = held[k].w is not None
-            elif 2.0 * swing[i] * times.max() > LEVIN_TURN:
-                terms[k] = _levin_terms(w[rows], stride[k], times)
-                split[rows] = terms[k][-1].size > 0
-        rows = np.flatnonzero(split)
-        weight = (xi ** (2 * j))[:, None]
-        amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
-        if rows.size:
-            ok = e.ok.copy()
-            ok[rows] &= _backward_ok(e, rows)
-            e = replace(e, ok=ok)
-            amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
-        f = _mode_norms_sq(e, times) * weight
-        for k, rows in zip(batch, spans):
-            part = (_Nodes(f[rows], w[rows], amp[rows]) if split[rows.start] and e.ok[rows].all()
-                    else _Nodes(f[rows]))
+        if route[batch[0]]:
+            f = _propagated_norms_sq(real_generator_batch(cfg, xi), uhat0 / real_similarity(cfg),
+                                     times) * weight
+            parts, terms = [_Nodes(f[rows]) for rows in spans], [None] * len(spans)
+        else:
+            parts, terms = _eigen_nodes(cfg, xi, uhat0, weight, spans, [held[k] for k in batch],
+                                        stride[batch], times)
+            eig += xi.size
+        for k, part, found in zip(batch, parts, terms):
             nodes = part if held[k] is None else held[k].interleave(part)
             vals[k], errs[k], nodes, solved = _panel_integral(nodes, stride[k], half[k], times,
-                                                              tol, terms.get(k))
+                                                              tol, found)
             levin += solved
-            kept.append(nodes if stride[k] > 1 else None)
-        first = last
-    return vals, errs, kept, sum(x.size for x in fresh), levin
+            kept[k] = nodes if stride[k] > 1 else None
+    return vals, errs, kept, (sum(x.size for x in fresh), eig), levin
 
 
 def _time_grid(times: Sequence[float]) -> np.ndarray:
@@ -638,10 +772,14 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     term is integrated by Levin collocation on the panel's 33 nodes, unless
     a guard sends it back: a stationary point of its phase, a branch that
     nearly collides with another, a conjugate pair that does not stay one,
-    or a node off the eigen path.  Everything else, the integrand minus the
-    Levin terms, stays on the Clenshaw-Curtis rule.  A panel's error
-    estimate is the rule against the nested rule of half its points, plus
-    each Levin integral against Levin on the nested 17 nodes.  At each
+    or a node off the eigen path.  On a grid of at most EXPM_MAX_TIMES
+    positive times, panels that can never carry a Levin term skip the
+    eigendecomposition and propagate their nodes by _expm (_expm_route),
+    which changes the values by roundoff only.  Everything else, the
+    integrand minus the Levin terms, stays on the Clenshaw-Curtis rule.
+    A panel's error estimate is the rule against the nested rule of half
+    its points, plus each Levin integral against Levin on the nested 17
+    nodes.  At each
     time, the lightest Levin terms of a panel whose summed mass (twice
     their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE
     of the tolerance stay on the rule, with that mass added to its
@@ -655,7 +793,8 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     nodes it lacks; a 129-point panel is bisected, both halves at 129 points.
     Refinement also stops when the node budget is spent.  Raises
     QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
-    The result counts the nodes evaluated and the Levin systems solved.
+    The result counts the nodes evaluated, those of them that were
+    eigendecomposed and the Levin systems solved.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -667,14 +806,15 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     growth = cfg.alpha2 / cfg.alpha1
     cutoff = datum.tail_cutoff(j, LEVIN_NEGLIGIBLE * floor / (math.pi * growth))
     if cutoff == 0.0:
-        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), 0, 0, 0.0, 0.0)
+        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), nodes=0, eig=0, levin=0,
+                              cutoff=0.0, tail_bound=0.0)
     tail = math.pi * growth * datum.tail_sq(j, cutoff)
 
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
-    vals, errs, held, nodes, levin = _panels(cfg, datum, ts, j, lo, hi, stride,
-                                             [None] * lo.size, np.full(ts.size, floor))
+    vals, errs, held, (nodes, eig), levin = _panels(cfg, datum, ts, j, lo, hi, stride,
+                                                    [None] * lo.size, np.full(ts.size, floor))
     while True:
         tol = np.maximum(floor, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) + tail > tol
@@ -694,10 +834,11 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         new_lo = np.concatenate([lo[up], lo[cut], mid])
         new_hi = np.concatenate([hi[up], mid, hi[cut]])
         new_stride = np.concatenate([stride[up] // 2, np.ones(2 * cut.size, dtype=int)])
-        new_vals, new_errs, new_held, n, solved = _panels(
+        new_vals, new_errs, new_held, (n, n_eig), solved = _panels(
             cfg, datum, ts, j, new_lo, new_hi, new_stride,
             [held[i] for i in up] + [None] * (2 * cut.size), tol)
         nodes += n
+        eig += n_eig
         levin += solved
         keep = np.flatnonzero(~pick)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
@@ -713,7 +854,8 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
             f"solution-norm quadrature achieved error {err[i]} vs value {total[i]} "
             f"at t={ts[i]} after {nodes} nodes"
         )
-    return NormQuadrature(total / math.pi, err / math.pi, nodes, levin, cutoff, tail / math.pi)
+    return NormQuadrature(total / math.pi, err / math.pi, nodes=nodes, eig=eig, levin=levin,
+                          cutoff=cutoff, tail_bound=tail / math.pi)
 
 
 def sobolev_norm_sq(cfg: SystemConfig, datum: InitialDatum, t: float, j: int) -> float:

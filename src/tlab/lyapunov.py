@@ -38,8 +38,8 @@ from tlab.dynamics import default_xi_grid
 from tlab.envelope import UnstableCaseError
 from tlab.forms import DIM, ETA, HermitianForm, add_weighted_terms, hermitian_part
 from tlab.model import (
-    CaseMismatchError, Coupling, SystemConfig, Tau, hermitian_energy, real_generator_batch,
-    real_similarity,
+    CaseMismatchError, Coupling, SystemConfig, Tau, energy_sqrt, hermitian_energy,
+    real_generator_batch, real_similarity,
 )
 
 LAMBDA_CAP = 2.0 ** 40
@@ -370,7 +370,7 @@ def certify(
         raise ValueError("xi grid has no nonzero entries")
 
     params = select_lambdas(cfg)
-    hinv_sqrt = 1.0 / np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+    hinv_sqrt = 1.0 / energy_sqrt(cfg)
     s = real_similarity(cfg)
 
     # G = F/ftilde from the identity catalog and f from the envelope, each

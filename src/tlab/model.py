@@ -231,6 +231,23 @@ def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     return x ** 2 * a2 - x * c1 - a0
 
 
+def energy_sqrt(cfg: SystemConfig) -> np.ndarray:
+    """H^1/2 as its diagonal, H the matrix of hermitian_energy."""
+    return np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+
+
+def energy_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
+    """The energy-scaled real generator H^1/2 B(xi) H^-1/2, shape (n, 8, 8).
+
+    It has the spectrum of A(xi) and equals K(xi) - d(xi) e e^T, with K
+    real skew, e the eta unit vector and d = k5 xi^(2 eps0) >= 0 (the
+    energy identity), so every eigenvalue has |Im| <= |K(xi)|_2.  A2 is
+    diagonal, so K is affine in xi.
+    """
+    h_sqrt = energy_sqrt(cfg)
+    return real_generator_batch(cfg, xi) * (h_sqrt[:, None] / h_sqrt)
+
+
 def symmetrizer(cfg: SystemConfig) -> np.ndarray:
     """The diagonal of J = P H, with J B(xi) exactly symmetric for every xi.
 

@@ -273,14 +273,16 @@ class TestArtifacts:
         assert json.loads((out / "report.json").read_text())["decay"]["pass"] is True
 
     def test_decay_and_report_diagnostics(self, stable_config, tmp_path):
-        """decay and report write the node and Levin system counts, the
-        frequency cutoff, the bound on the norm beyond it and the per-time
-        error estimates of the whole-line quadrature behind the decay check."""
+        """decay and report write the node, eigendecomposed-node and Levin
+        system counts, the frequency cutoff, the bound on the norm beyond it
+        and the per-time error estimates of the whole-line quadrature behind
+        the decay check."""
         times = fullline.default_times(12)
         quad = fullline.solution_norms_sq(standard_suite()["tau1-type3-first"],
                                           cli._default_datum(), times, 0)
         assert quad.levin > 0 and quad.cutoff > 0.0 and quad.tail_bound > 0.0
-        want = {"quadrature": {"nodes": quad.nodes, "levin": quad.levin,
+        assert 0 < quad.eig <= quad.nodes
+        want = {"quadrature": {"nodes": quad.nodes, "eig": quad.eig, "levin": quad.levin,
                                "cutoff": quad.cutoff, "tail_bound": quad.tail_bound,
                                "times": [float(t) for t in times],
                                "errors": quad.errors.tolist()}}

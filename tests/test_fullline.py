@@ -14,7 +14,9 @@ from tlab.fullline import (
     default_times, fit_tail_exponent, sobolev_norm_sq, solution_norms_sq,
     verify_theorem_bound,
 )
-from tlab.model import assemble_generator, generator_batch
+from tlab.model import (
+    assemble_generator, energy_generator_batch, generator_batch, real_generator_batch,
+)
 from tlab.suite import standard_suite, unstable_reference
 
 from conftest import covering_configs, random_config
@@ -750,6 +752,133 @@ class TestLevin:
         assert hits and not all(closed)   # the perturbed node reached the Levin selection ...
         assert got.values == pytest.approx(oracles.plancherel_norms_sq(   # ... and went to expm
             cfg, datum.fourier, got.cutoff, times, 0, panels=48), rel=1e-10)
+
+
+class TestExpmKernel:
+    XI = np.array([0.0, 1e-3, 0.1, 1.0, 8.0, 100.0])
+    TIMES = np.array([1e-3, 1.0, 10.0, 100.0, 1e4])
+
+    @staticmethod
+    def _assert_matches_scipy(cfg, b: np.ndarray, times: np.ndarray) -> None:
+        """|E - E_ref|_1 <= 1000 u max(|B t|_1, 1) alpha2/alpha1 for every B and t.
+
+        Both exponentials have a backward error of order u |B t| (Higham
+        2005; Al-Mohy and Higham 2009, behind scipy.linalg.expm), and the
+        energy bound |e^{Bt}|_2^2 <= alpha2/alpha1 bounds how far the
+        exponential carries it; 1000 covers the dimension and the squarings.
+        """
+        got = fullline._expm(b, times)
+        growth = cfg.alpha2 / cfg.alpha1
+        for i, t in enumerate(times):
+            want = scipy.linalg.expm(b * t)
+            err = np.abs(got[i] - want).sum(axis=1).max(axis=1)
+            scale = np.maximum(np.abs(b * t).sum(axis=1).max(axis=1), 1.0)
+            bound = 1e3 * np.finfo(float).eps * scale * growth
+            assert np.all(err <= bound), (cfg, t, (err / bound).max())
+
+    def test_matches_scipy(self):
+        """The 14 cells and covering_configs at xi in {0, 1e-3, 0.1, 1, 8,
+        100} and t in {1e-3, 1, 10, 100, 1e4}, |B t|_1 up to 1e8."""
+        for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(24), 1)]:
+            self._assert_matches_scipy(cfg, real_generator_batch(cfg, self.XI), self.TIMES)
+
+    def test_repeated_eigenvalue_node(self):
+        """The node of the guard test: xi = 0 on tau2-type3-first, where the
+        eigenvalue 0 of B is repeated."""
+        cfg = standard_suite()["tau2-type3-first"]
+        self._assert_matches_scipy(cfg, real_generator_batch(cfg, [0.0]),
+                                   np.array([1.0, 10.0]))
+
+    def test_norms_at_zero_time_are_the_datum(self):
+        """|e^{B 0} y0|^2 is |y0|^2 itself, and the other times match _expm."""
+        cfg = standard_suite()["tau3-frictional-zero"]
+        rng = np.random.default_rng(3)
+        y0 = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+        b = real_generator_batch(cfg, self.XI)
+        got = fullline._propagated_norms_sq(b, y0, np.array([0.0, 10.0, 0.0]))
+        np.testing.assert_array_equal(got[:, 0], np.sum(y0.real ** 2 + y0.imag ** 2, axis=1))
+        np.testing.assert_array_equal(got[:, 0], got[:, 2])
+        y = np.einsum("nij,nj->ni", fullline._expm(b, np.array([10.0]))[0], y0)
+        np.testing.assert_allclose(got[:, 1], np.sum(np.abs(y) ** 2, axis=1), rtol=1e-14)
+
+
+def _short_grid_cases():
+    """The 14 cells and covering_configs, each with a seeded datum, j and
+    short grid [0, t1, t2], t1 in [0.1, 1] and t2 in [1, 10], as in a
+    short-time norms run."""
+    rng = np.random.default_rng(2424)
+    cases = []
+    for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(25), 1)]:
+        profiles = [Zero()] * 8
+        for comp in rng.choice(8, size=int(rng.integers(1, 4)), replace=False):
+            order, amplitude = int(rng.integers(0, 3)), float(rng.uniform(0.5, 2.0))
+            width = float(rng.uniform(0.6, 2.0))
+            profiles[comp] = (Gaussian(amplitude, width) if order == 0
+                              else GaussianDerivative(order, amplitude, width))
+        times = [0.0, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.0, 10.0))]
+        cases.append((cfg, InitialDatum(profiles=tuple(profiles)), times, int(rng.integers(0, 3))))
+    return cases
+
+
+class TestExpmRoute:
+    def test_short_grids_match_the_eigen_route(self, monkeypatch):
+        """With EXPM_MAX_TIMES at 0 every node takes the eigen route; by
+        default a short grid sends some nodes to _expm, on the same nodes
+        and Levin systems and with the same norms and estimates to
+        roundoff."""
+        cases = _short_grid_cases()
+        got = [solution_norms_sq(cfg, datum, times, j) for cfg, datum, times, j in cases]
+        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
+        for (cfg, datum, times, j), fast in zip(cases, got):
+            ref = solution_norms_sq(cfg, datum, times, j)
+            assert ref.eig == ref.nodes
+            assert (fast.nodes, fast.levin) == (ref.nodes, ref.levin), cfg
+            np.testing.assert_allclose(fast.values, ref.values, rtol=1e-12, err_msg=str(cfg))
+            np.testing.assert_allclose(fast.errors, ref.errors, rtol=1e-6,
+                                       atol=1e-12 * ref.values.max(), err_msg=str(cfg))
+        assert sum(q.eig for q in got) < 0.6 * sum(q.nodes for q in got)
+
+    def test_long_times_keep_the_levin_count(self, monkeypatch):
+        """tau2-frictional-zero at t = 1e3, 1e4: two positive times, so
+        refined panels without a modal split take _expm, and the Levin
+        systems are those of the eigen route."""
+        cfg = standard_suite()["tau2-frictional-zero"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        got = solution_norms_sq(cfg, datum, [1e3, 1e4], 0)
+        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
+        ref = solution_norms_sq(cfg, datum, [1e3, 1e4], 0)
+        assert got.eig < ref.eig == ref.nodes
+        assert (got.nodes, got.levin) == (ref.nodes, ref.levin)
+        np.testing.assert_allclose(got.values, ref.values, rtol=1e-12)
+
+    def test_many_times_take_the_eigen_route(self):
+        cfg = standard_suite()["tau1-type3-first"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        times = [0.0] + [1.0 + k for k in range(fullline.EXPM_MAX_TIMES + 1)]
+        got = solution_norms_sq(cfg, datum, times, 0)
+        assert got.eig == got.nodes
+
+    def test_skew_part_bounds_every_swing(self):
+        """Where a new panel passes _expm_route's screen, the eigen route's
+        screen 2 swing t_max > LEVIN_TURN fails on its 33 nodes, for t_max
+        just inside the route's bound: every eigenvalue has |Im| <= |K|_2
+        at the larger end."""
+        rng = np.random.default_rng(26)
+        edges = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 25)))
+        lo, hi = edges[:-1], edges[1:]
+        for cfg in [*standard_suite().values(), *covering_configs(rng, 1)]:
+            k = energy_generator_batch(cfg, edges)
+            reach = 0.5 * np.linalg.norm(k - k.transpose(0, 2, 1), 2, axis=(1, 2))
+            reach = np.maximum(reach[:-1], reach[1:])
+            for i in range(lo.size):
+                t_max = (1.0 - 2e-6) * fullline.LEVIN_TURN / (4.0 * reach[i])
+                times = np.array([0.0, t_max])
+                assert fullline._expm_route(cfg, times, lo[i:i + 1], hi[i:i + 1], [None])[0]
+                xi = lo[i] + 0.5 * (hi[i] - lo[i]) * (1.0 + fullline._CC_X[::4])
+                w = np.linalg.eigvals(real_generator_batch(cfg, xi))
+                assert np.abs(w.imag).max() <= reach[i] * (1.0 + 1e-9), cfg
+                swing = np.ptp(np.sort(w.imag, axis=1), axis=0).max()
+                assert not 2.0 * swing * t_max > fullline.LEVIN_TURN
 
 
 class TestTailFit:
