@@ -45,10 +45,12 @@ A node needs the eigendecomposition only for the modal split.  On a grid of
 at most EXPM_MAX_TIMES positive times, a panel that can never carry a Levin
 term propagates its new nodes by _expm instead, a batched real Pade 13
 exponential with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-2005): a refined panel without a split, or a new panel where 4 t_max |K|_2
+2005): a refined panel without a split, or a new panel where 2 t_max |K|_2
 stays within LEVIN_TURN at both ends, K the skew part of the energy-scaled
-generator, which bounds every |Im w| there.  The route moves the integrand
-by roundoff only: no panel layout, split, node or Levin system changes.
+generator.  |K|_2 bounds every |Im w| there, and since the spectrum is
+closed under conjugation each branch's Im keeps one sign, so no branch
+swings by more than |K|_2.  The route moves the integrand by roundoff only:
+no panel layout, split, node or Levin system changes.
 """
 
 from __future__ import annotations
@@ -239,6 +241,10 @@ EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
 # norms the route took 0.70-0.89 of the eigen path's time at 3 positive times
 # and 1.08 at 4; with more positive times than this, every node takes the eigen path
 EXPM_MAX_TIMES = 3
+# nodes per _expm batch: beyond this its 8x8 stacks fall out of cache.  At 2
+# positive times a node-time cost 4.0-4.6 us in batches of 64-256 nodes and
+# 5.6-7.3 us at 512-2,048 (best of 15, one Xeon core, OpenBLAS, numpy 2.4)
+EXPM_BATCH_NODES = 256
 LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
 LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
 LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance the lightest Levin terms may leave on the rule
@@ -615,14 +621,18 @@ def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.nda
 
     Only when the times hold at most EXPM_MAX_TIMES positive ones, and only
     for a panel that can never carry a Levin term: a refined panel that
-    holds no modal split, or a new panel with 4 t_max |K|_2 <= LEVIN_TURN
+    holds no modal split, or a new panel with 2 t_max |K|_2 <= LEVIN_TURN
     at both ends, K the skew part of model.energy_generator_batch.  Every
-    eigenvalue has |Im| <= |K(xi)|_2, which is convex in xi since K is
-    affine, so no branch's Im swings by more than twice the larger of
-    |K(lo)|_2 and |K(hi)|_2, and _eigen_nodes' screen 2 swing t_max >
-    LEVIN_TURN cannot pass there; the factor 1 - 1e-6 keeps the
-    eigenvalues' roundoff on the safe side.  The route depends on the
-    config, the times and the panel only.
+    eigenvalue has |Im| <= |K(xi)|_2 (Bendixson, Acta Math. 25, 1902),
+    which is convex in xi since K is affine, so within the panel |Im| stays
+    below the larger of |K(lo)|_2 and |K(hi)|_2.  B is real, so its
+    spectrum is closed under conjugation: sorted by Im, branches 0-3 keep
+    Im <= 0 and branches 4-7 Im >= 0, and no branch's Im swings by more
+    than that larger norm.  _eigen_nodes' screen 2 swing t_max >
+    LEVIN_TURN, swing the widest swing of one branch's Im on the panel,
+    then cannot pass; the factor 1 - 1e-6 keeps the eigenvalues' roundoff
+    on the safe side.  The route depends on the config, the times and the
+    panel only.
     """
     if np.count_nonzero(times) > EXPM_MAX_TIMES:
         return np.zeros(lo.size, dtype=bool)
@@ -631,21 +641,23 @@ def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.nda
     if new.any():
         b = energy_generator_batch(cfg, np.concatenate((lo[new], hi[new])))
         reach = 0.5 * np.linalg.norm(b - b.transpose(0, 2, 1), 2, axis=(1, 2))
-        route[new] = (4.0 * times.max() * np.maximum(*reach.reshape(2, -1))
+        route[new] = (2.0 * times.max() * np.maximum(*reach.reshape(2, -1))
                       <= (1.0 - 1e-6) * LEVIN_TURN)
     return route
 
 
 def _batches(fresh: list[np.ndarray], route: np.ndarray, n_times: int):
     """Panels of one route at a time, in order, whose new nodes times n_times
-    stay within 129 x 32 (129 nodes at 32 times); a batch always takes at
-    least one panel."""
-    for group in (np.flatnonzero(route), np.flatnonzero(~route)):
+    stay within 129 x 32 (129 nodes at 32 times), and whose new nodes stay
+    within EXPM_BATCH_NODES on the _expm route; a batch always takes at least
+    one panel."""
+    limit = 32 * _CC_X.size // n_times
+    for group, cap in ((np.flatnonzero(route), min(limit, EXPM_BATCH_NODES)),
+                       (np.flatnonzero(~route), limit)):
         first = 0
         while first < group.size:
             last, count = first, 0
-            while last < group.size and (last == first or (count + fresh[group[last]].size)
-                                         * n_times <= 32 * _CC_X.size):
+            while last < group.size and (last == first or count + fresh[group[last]].size <= cap):
                 count += fresh[group[last]].size
                 last += 1
             yield group[first:last]
@@ -708,10 +720,12 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     go to Levin, so it changes the integrand by roundoff and nothing else.
     Panels of one route are evaluated together while their new nodes times
     the number of times stay within 129 x 32, which bounds the working
-    memory.  Each node's eigendecomposition is its own LAPACK call and each
-    node's exponential its own scaling, so the batching does not change the
-    results.  Also returns each panel's nodes while it is below 129 points
-    (None otherwise), the numbers of nodes evaluated and of those that went
+    memory, and on the _expm route while their new nodes stay within
+    EXPM_BATCH_NODES, which keeps its stacks in cache.  Each node's
+    eigendecomposition is its own LAPACK call and each node's exponential
+    its own scaling, so the batching does not change the results.  Also
+    returns each panel's nodes while it is below 129 points (None
+    otherwise), the numbers of nodes evaluated and of those that went
     through np.linalg.eig, and the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)

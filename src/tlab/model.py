@@ -21,6 +21,7 @@ tau_j gamma etahat with the reversed sign in the etahat equation).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,9 @@ import numpy as np
 from tlab.forms import DIM, ETA, HermitianForm, PHI, SIGMA, THETA, U, V, Y, Z
 
 SPEED_REL_TOL = 1e-12
+# configs whose generator data stay built (a few KB each); a whole-line norm
+# asks for them once per batch of frequency nodes
+CONFIG_CACHE_SIZE = 128
 
 
 class ConfigError(ValueError):
@@ -141,8 +145,17 @@ class GeneratorMatrices:
     a: np.ndarray  # A(xi) = -(-xi^2 A2 + i xi A1 + A0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def _generator_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The real matrices A0, A1, A2 of A(xi) = xi^2 A2 - i xi A1 - A0."""
+    """The real matrices A0, A1, A2 of A(xi) = xi^2 A2 - i xi A1 - A0.
+
+    Built once per config; the arrays are shared, so they are read-only.
+    """
     t1, t2, t3 = cfg.tau.indicators
     g = cfg.gamma
     eps0 = cfg.epsilon0
@@ -181,7 +194,7 @@ def _generator_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, 
 
     a2 = np.zeros((DIM, DIM))
     a2[ETA, ETA] = -eps0 * cfg.k5
-    return a0, a1, a2
+    return _read_only(a0), _read_only(a1), _read_only(a2)
 
 
 def assemble_generator(cfg: SystemConfig, xi: float) -> GeneratorMatrices:
@@ -198,6 +211,7 @@ def generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     return x ** 2 * a2 - 1j * x * a1 - a0
 
 
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def real_similarity(cfg: SystemConfig) -> np.ndarray:
     """Diagonal s of a unitary S, entries in {1, i}, with S^-1 A(xi) S real for all xi.
 
@@ -205,14 +219,24 @@ def real_similarity(cfg: SystemConfig) -> np.ndarray:
     and those of -i A1 need s_l / s_k = +-i.  The wave pairs and the
     lamination terms fix the parities of v..theta; the coupled row (u, y or
     theta) fixes eta, through A1 for first-order coupling and A0 for
-    zero-order coupling, and sigma pairs with eta.
+    zero-order coupling, and sigma pairs with eta.  Built once per config
+    and read-only.
     """
     odd = np.zeros(DIM, dtype=int)
     odd[[U, Z, PHI]] = 1
     coupled = (U, Y, THETA)[cfg.tau.value - 1]
     odd[ETA] = odd[coupled] ^ (cfg.coupling is Coupling.FIRST_ORDER)
     odd[SIGMA] = 1 - odd[ETA]
-    return np.where(odd == 1, 1j, 1.0 + 0j)
+    return _read_only(np.where(odd == 1, 1j, 1.0 + 0j))
+
+
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _real_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A0, C1 = Re(i A1 s_l / s_k) and A2 of real_generator_batch, built once
+    per config and read-only."""
+    a0, a1, a2 = _generator_coefficients(cfg)
+    s = real_similarity(cfg)
+    return a0, _read_only((1j * a1 * (s[None, :] / s[:, None])).real), a2
 
 
 def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
@@ -224,16 +248,16 @@ def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     C1 = Re(i A1 s_l / s_k).  Subtracting in the order of generator_batch
     keeps even the signed zeros of (S^-1 A S).real.
     """
-    a0, a1, a2 = _generator_coefficients(cfg)
-    s = real_similarity(cfg)
-    c1 = (1j * a1 * (s[None, :] / s[:, None])).real
+    a0, c1, a2 = _real_coefficients(cfg)
     x = np.asarray(xi, dtype=float).reshape(-1, 1, 1)
     return x ** 2 * a2 - x * c1 - a0
 
 
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def energy_sqrt(cfg: SystemConfig) -> np.ndarray:
-    """H^1/2 as its diagonal, H the matrix of hermitian_energy."""
-    return np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix)))
+    """H^1/2 as its diagonal, H the matrix of hermitian_energy; built once per
+    config and read-only."""
+    return _read_only(np.sqrt(np.real(np.diag(hermitian_energy(cfg).matrix))))
 
 
 def energy_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:

@@ -836,7 +836,7 @@ class TestExpmRoute:
             np.testing.assert_allclose(fast.values, ref.values, rtol=1e-12, err_msg=str(cfg))
             np.testing.assert_allclose(fast.errors, ref.errors, rtol=1e-6,
                                        atol=1e-12 * ref.values.max(), err_msg=str(cfg))
-        assert sum(q.eig for q in got) < 0.6 * sum(q.nodes for q in got)
+        assert sum(q.eig for q in got) < 0.25 * sum(q.nodes for q in got)
 
     def test_long_times_keep_the_levin_count(self, monkeypatch):
         """tau2-frictional-zero at t = 1e3, 1e4: two positive times, so
@@ -862,7 +862,9 @@ class TestExpmRoute:
         """Where a new panel passes _expm_route's screen, the eigen route's
         screen 2 swing t_max > LEVIN_TURN fails on its 33 nodes, for t_max
         just inside the route's bound: every eigenvalue has |Im| <= |K|_2
-        at the larger end."""
+        at the larger end, and B is real, so sorted by Im, branches 0-3
+        keep Im <= 0 and branches 4-7 Im >= 0, and no branch swings by more
+        than |K|_2."""
         rng = np.random.default_rng(26)
         edges = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 25)))
         lo, hi = edges[:-1], edges[1:]
@@ -871,14 +873,16 @@ class TestExpmRoute:
             reach = 0.5 * np.linalg.norm(k - k.transpose(0, 2, 1), 2, axis=(1, 2))
             reach = np.maximum(reach[:-1], reach[1:])
             for i in range(lo.size):
-                t_max = (1.0 - 2e-6) * fullline.LEVIN_TURN / (4.0 * reach[i])
+                t_max = (1.0 - 2e-6) * fullline.LEVIN_TURN / (2.0 * reach[i])
                 times = np.array([0.0, t_max])
                 assert fullline._expm_route(cfg, times, lo[i:i + 1], hi[i:i + 1], [None])[0]
                 xi = lo[i] + 0.5 * (hi[i] - lo[i]) * (1.0 + fullline._CC_X[::4])
-                w = np.linalg.eigvals(real_generator_batch(cfg, xi))
-                assert np.abs(w.imag).max() <= reach[i] * (1.0 + 1e-9), cfg
-                swing = np.ptp(np.sort(w.imag, axis=1), axis=0).max()
-                assert not 2.0 * swing * t_max > fullline.LEVIN_TURN
+                im = np.sort(np.linalg.eigvals(real_generator_batch(cfg, xi)).imag, axis=1)
+                assert np.abs(im).max() <= reach[i] * (1.0 + 1e-9), cfg
+                assert np.all(im[:, :4] <= 0.0) and np.all(im[:, 4:] >= 0.0), cfg
+                swing = np.ptp(im, axis=0)
+                assert np.all(swing <= reach[i] * (1.0 + 1e-9)), cfg
+                assert not 2.0 * swing.max() * t_max > fullline.LEVIN_TURN
 
 
 class TestTailFit:

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tlab import model
 from tlab.model import (
     ConfigError, Coupling, Damping, SystemConfig, Tau,
-    assemble_generator, config_text, dissipation_rate, generator_batch,
-    hermitian_energy, parse_config_text, real_generator_batch, real_similarity, symmetrizer,
+    assemble_generator, config_text, dissipation_rate, energy_generator_batch, energy_sqrt,
+    generator_batch, hermitian_energy, parse_config_text, real_generator_batch, real_similarity,
+    symmetrizer,
 )
 from tlab.dynamics import default_xi_grid
 from tlab.suite import standard_suite
@@ -141,6 +143,32 @@ class TestGenerator:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
                 assert got.tobytes() == want.tobytes()
+
+    def test_generator_data_built_once_per_config(self):
+        """The per-config coefficients, similarity and energy scaling are built
+        once and read-only, and the three batches built from them are bitwise
+        those of an uncached build, on the 14 cells and covering_configs."""
+        xi = np.concatenate(([0.0, -0.0], np.geomspace(1e-6, 1e6, 25),
+                             -np.geomspace(1e-3, 1e3, 7)))
+        x = xi.reshape(-1, 1, 1)
+        for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(76), 1)]:
+            a0, a1, a2 = model._generator_coefficients.__wrapped__(cfg)
+            s = real_similarity.__wrapped__(cfg)
+            h = energy_sqrt.__wrapped__(cfg)
+            c1 = (1j * a1 * (s[None, :] / s[:, None])).real
+            b = x ** 2 * a2 - x * c1 - a0
+            for got, want in ((generator_batch(cfg, xi), x ** 2 * a2 - 1j * x * a1 - a0),
+                              (real_generator_batch(cfg, xi), b),
+                              (energy_generator_batch(cfg, xi), b * (h[:, None] / h))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), cfg
+            shared = (*model._generator_coefficients(cfg), *model._real_coefficients(cfg),
+                      real_similarity(cfg), energy_sqrt(cfg))
+            assert model._generator_coefficients(cfg)[0] is shared[0]
+            assert real_similarity(cfg) is shared[-2] and energy_sqrt(cfg) is shared[-1]
+            for arr in shared:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
 
     def test_symmetrizer_makes_the_real_generator_symmetric(self):
         """J B(xi) is exactly symmetric, J = P H with H twice the energy
