@@ -1,10 +1,11 @@
 """Exact mode propagation, spectra, and the instability dichotomy.
 
 Each frequency evolves by the matrix exponential of the 8x8 generator, so
-propagation is exact up to the expm algorithm (scaling and squaring with a
-Pade core).  The stability question at a fixed xi reduces to the spectrum
-of A(xi): a purely imaginary eigenvalue produces a non-decaying mode, which
-happens exactly in the tau = (1,0,0) case with k2 = k3.
+propagation is exact up to the exponential's roundoff: model.expm on the
+real form B = S^-1 A S (scaling and squaring on a Taylor polynomial).  The
+stability question at a fixed xi reduces to the spectrum of A(xi): a purely
+imaginary eigenvalue produces a non-decaying mode, which happens exactly in
+the tau = (1,0,0) case with k2 = k3.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from tlab.forms import DIM, ETA
 from tlab.model import (
-    CaseMismatchError, Coupling, SystemConfig, Tau, energy_generator_batch, energy_sqrt,
-    generator_batch, real_similarity,
+    CaseMismatchError, Coupling, SystemConfig, Tau, energy_generator_batch, energy_sqrt, expm,
+    real_generator_batch, real_similarity,
 )
 
 
@@ -40,16 +40,22 @@ class SpectrumResult:
 
 def propagate(cfg: SystemConfig, xi: float, u0: np.ndarray,
               times: Sequence[float]) -> np.ndarray:
-    """e^{A(xi) t} u0 at every time t, shape (T, 8), by one stacked
-    scaling-and-squaring matrix exponential."""
+    """e^{A(xi) t} u0 at every time t, shape (T, 8), by one stacked model.expm
+    on the real form: e^{At} u0 = S e^{Bt} S^-1 u0, B = real_generator_batch.
+
+    e^{Bt} is real, so it acts on the real and imaginary parts of S^-1 u0
+    apart.
+    """
     t = np.asarray(times, dtype=float).reshape(-1)
     bad = t[~(np.isfinite(t) & (t >= 0))]
     if bad.size:
         raise ValueError(f"t must be a finite nonnegative real, got {float(bad[0])!r}")
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    a = generator_batch(cfg, xi)
-    return scipy.linalg.expm(a * t[:, None, None]) @ np.asarray(u0, dtype=complex)
+    s = real_similarity(cfg)
+    y0 = np.asarray(u0, dtype=complex) / s
+    y = expm(real_generator_batch(cfg, xi), t)[:, 0] @ np.stack((y0.real, y0.imag), axis=-1)
+    return s * (y[..., 0] + 1j * y[..., 1])
 
 
 def _eigenpairs(cfg: SystemConfig,

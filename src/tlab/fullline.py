@@ -30,7 +30,7 @@ stationary point of the phase, no branch nearly colliding with another
 (gap against rate of change, LEVIN_GAP), conjugate pairs that stay pairs
 across the panel, and every node of the panel on the eigen path (cond(V)
 within EIG_COND_MAX and the 1-norm backward error within EIG_RESID_MAX;
-other nodes go through _expm).  Everything else, the integrand minus the
+other nodes go through expm).  Everything else, the integrand minus the
 Levin terms at the nodes, stays on the Clenshaw-Curtis ladder.  A Levin
 term's error estimate is the difference between Levin on the panel's 33
 nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
@@ -43,9 +43,9 @@ the tolerance stay on the ladder, with that mass added to its estimate.
 
 A node needs the eigendecomposition only for the modal split.  On a grid of
 at most EXPM_MAX_TIMES positive times, a panel that can never carry a Levin
-term propagates its new nodes by _expm instead, a batched real Pade 13
-exponential with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-2005): a refined panel without a split, or a new panel where 2 t_max |K|_2
+term propagates its new nodes by model.expm instead, the package's batched
+real exponential (a Taylor polynomial with scaling and squaring, no linear
+solve): a refined panel without a split, or a new panel where 2 t_max |K|_2
 stays within LEVIN_TURN at both ends, K the skew part of the energy-scaled
 generator.  |K|_2 bounds every |Im w| there, and since the spectrum is
 closed under conjugation each branch's Im keeps one sign, so no branch
@@ -67,7 +67,8 @@ from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
 from tlab.forms import DIM
 from tlab.model import (
-    SystemConfig, energy_generator_batch, real_generator_batch, real_similarity, symmetrizer,
+    SystemConfig, energy_generator_batch, expm, real_generator_batch, real_similarity,
+    symmetrizer,
 )
 
 
@@ -234,16 +235,17 @@ EPSREL = 1e-9
 EPSABS = 1e-13             # times |d^j U0|_{L2}^2, so rescaled data refine alike
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
-EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by _expm
+EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by expm
 EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
 # A node costs one eigendecomposition and its guards (about 20 us) on the eigen
-# path, or about 4 us per positive time through _expm.  On 60 seeded short-time
-# norms the route took 0.70-0.89 of the eigen path's time at 3 positive times
-# and 1.08 at 4; with more positive times than this, every node takes the eigen path
-EXPM_MAX_TIMES = 3
-# nodes per _expm batch: beyond this its 8x8 stacks fall out of cache.  At 2
-# positive times a node-time cost 4.0-4.6 us in batches of 64-256 nodes and
-# 5.6-7.3 us at 512-2,048 (best of 15, one Xeon core, OpenBLAS, numpy 2.4)
+# path, or about 2 us per positive time through expm.  On 60 seeded short-time
+# norms (best of 5) the route took 0.54-0.77 of the eigen path's time at 3-6
+# positive times and 0.90-0.91 at 7-8, a gain this host's noise does not
+# resolve; with more positive times than this, every node takes the eigen path
+EXPM_MAX_TIMES = 6
+# nodes per expm batch: beyond this its 8x8 stacks fall out of cache.  At 2
+# positive times a node-time cost 1.7-1.9 us in batches of 64-256 nodes and
+# 2.3-3.5 us at 512-2,048 (best of 15, one Xeon core, OpenBLAS, numpy 2.4)
 EXPM_BATCH_NODES = 256
 LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
 LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
@@ -320,7 +322,7 @@ class NormQuadrature:
     values: np.ndarray   # per time
     errors: np.ndarray   # error estimate per time, same scale as values, tail_bound included
     nodes: int           # frequency nodes evaluated, over all refinement rounds
-    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to _expm)
+    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to expm)
     levin: int           # Levin systems solved, on 33 and on 17 nodes alike
     cutoff: float        # the frequencies integrated are [0, cutoff]
     tail_bound: float    # bound on the norm's part beyond the cutoff, same scale as values
@@ -357,7 +359,7 @@ class _Eigen:
     w: np.ndarray
     v: np.ndarray
     c: np.ndarray
-    ok: np.ndarray   # passed the guards; the other nodes are propagated by _expm
+    ok: np.ndarray   # passed the guards; the other nodes are propagated by expm
 
 
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
@@ -415,55 +417,15 @@ def _backward_ok(e: _Eigen, rows: np.ndarray) -> np.ndarray:
     return resid <= EIG_RESID_MAX * scale
 
 
-# The [13/13] Pade approximant of e^X, X = B t / 2^s, with s >= 0 that brings
-# |X|_1 within THETA13, where its backward error stays below the unit roundoff
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3 and Algorithm 2.3)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
-def _expm(b: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{Bt} for every real matrix B of the stack b (n, 8, 8) and every time,
-    shape (times, n, 8, 8), by scaling and squaring on the Pade 13 approximant.
-
-    Each B t gets its own s; the matrices are sorted by it, so the j-th
-    squaring is one batched matmul on the contiguous tail of the stack that
-    still needs it.  Scaling by 2^-s is exact.
-    """
-    norm = np.outer(times, np.abs(b).sum(axis=1).max(axis=1)).ravel()   # |B t|_1
-    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)   # |B t|_1 / THETA13 <= 2^s
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    ti, node = np.divmod(order, b.shape[0])
-    x = b[node] * (times[ti] * np.ldexp(1.0, -s))[:, None, None]
-    c = _PADE13
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    eye = np.eye(DIM)
-    u = x @ (x6 @ (c[13] * x6 + c[11] * x4 + c[9] * x2)
-             + c[7] * x6 + c[5] * x4 + c[3] * x2 + c[1] * eye)
-    v = x6 @ (c[12] * x6 + c[10] * x4 + c[8] * x2) + c[6] * x6 + c[4] * x4 + c[2] * x2 + c[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for step in range(int(s[-1]) if s.size else 0):
-        tail = int(np.searchsorted(s, step, side="right"))
-        r[tail:] = r[tail:] @ r[tail:]
-    out = np.empty_like(r)
-    out[order] = r
-    return out.reshape(times.size, *b.shape)
-
-
 def _propagated_norms_sq(b: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|e^{Bt} y0|^2 for every node (rows) and time (columns) by _expm, and
+    """|e^{Bt} y0|^2 for every node (rows) and time (columns) by expm, and
     |y0|^2 directly at t = 0."""
     out = np.empty((b.shape[0], times.size))
     out[:, times == 0.0] = np.sum(y0.real ** 2 + y0.imag ** 2, axis=1)[:, None]
     live = np.flatnonzero(times)
     if live.size:
         parts = np.stack((y0.real, y0.imag), axis=-1)   # e^{Bt} is real: (n, 8, 2)
-        out[:, live] = np.sum((_expm(b, times[live]) @ parts) ** 2, axis=(2, 3)).T
+        out[:, live] = np.sum((expm(b, times[live]) @ parts) ** 2, axis=(2, 3)).T
     return out
 
 
@@ -471,7 +433,7 @@ def _mode_norms_sq(e: _Eigen, times: np.ndarray) -> np.ndarray:
     """|e^{Bt} y0|^2 for every node (rows) and time (columns).
 
     V (e^{wt} c) at the nodes that passed the guards serves every time; the
-    others are propagated by _expm.
+    others are propagated by expm.
     """
     y = (np.exp(e.w[:, None, :] * times[None, :, None]) * e.c[:, None, :]) @ e.v.transpose(0, 2, 1)
     out = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
@@ -617,7 +579,7 @@ def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
 
 def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 held: list[_Nodes | None]) -> np.ndarray:
-    """Per panel, whether its new nodes go through _expm instead of _eigen.
+    """Per panel, whether its new nodes go through expm instead of _eigen.
 
     Only when the times hold at most EXPM_MAX_TIMES positive ones, and only
     for a panel that can never carry a Levin term: a refined panel that
@@ -649,7 +611,7 @@ def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.nda
 def _batches(fresh: list[np.ndarray], route: np.ndarray, n_times: int):
     """Panels of one route at a time, in order, whose new nodes times n_times
     stay within 129 x 32 (129 nodes at 32 times), and whose new nodes stay
-    within EXPM_BATCH_NODES on the _expm route; a batch always takes at least
+    within EXPM_BATCH_NODES on the expm route; a batch always takes at least
     one panel."""
     limit = 32 * _CC_X.size // n_times
     for group, cap in ((np.flatnonzero(route), min(limit, EXPM_BATCH_NODES)),
@@ -714,13 +676,13 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     in the first round).  held[k], when set, holds the panel's nodes of
     twice that stride, with their Levin results, so only the missing nodes
     are evaluated and only the missing Levin systems solved.  The new nodes
-    of a panel that _expm_route sends there are propagated by _expm and
+    of a panel that _expm_route sends there are propagated by expm and
     never split into modal terms; the others go through _eigen_nodes.  The
     route picks the cheaper kernel only where it cannot change which terms
     go to Levin, so it changes the integrand by roundoff and nothing else.
     Panels of one route are evaluated together while their new nodes times
     the number of times stay within 129 x 32, which bounds the working
-    memory, and on the _expm route while their new nodes stay within
+    memory, and on the expm route while their new nodes stay within
     EXPM_BATCH_NODES, which keeps its stacks in cache.  Each node's
     eigendecomposition is its own LAPACK call and each node's exponential
     its own scaling, so the batching does not change the results.  Also
@@ -788,7 +750,7 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     nearly collides with another, a conjugate pair that does not stay one,
     or a node off the eigen path.  On a grid of at most EXPM_MAX_TIMES
     positive times, panels that can never carry a Levin term skip the
-    eigendecomposition and propagate their nodes by _expm (_expm_route),
+    eigendecomposition and propagate their nodes by expm (_expm_route),
     which changes the values by roundoff only.  Everything else, the
     integrand minus the Levin terms, stays on the Clenshaw-Curtis rule.
     A panel's error estimate is the rule against the nested rule of half

@@ -253,6 +253,78 @@ def real_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     return x ** 2 * a2 - x * c1 - a0
 
 
+def _taylor_theta(degree: int) -> float:
+    """The largest theta with e^theta theta^m (m+2) / ((m+1)! (m+2-theta)) <= u, m the degree.
+
+    For x = |X|_1 <= theta the Taylor remainder R = sum_{k>m} X^k/k! has
+    |R|_1 <= x^(m+1) (m+2) / ((m+1)! (m+2-x)), so T_m(X) = e^X (I + E) with
+    |E|_1 <= e^x |R|_1 <= u x, the bound over x increasing in x: the
+    polynomial is the exact exponential of X + log(I + E), a backward error
+    of at most u relative (to first order), and T_m(X)^(2^s) that of
+    B t + 2^s log(I + E), still u relative.  Bisection on the logarithm.
+    """
+    m = degree
+    limit = math.log(np.finfo(float).eps / 2) + math.lgamma(m + 2)
+    lo, hi = 0.0, 1.0 + m
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid + m * math.log(mid) + math.log((m + 2) / (m + 2 - mid)) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# e^X by its Taylor polynomial of degree _BLOCK^2 in Paterson-Stockmeyer form,
+# sum_j P_j(X) (X^_BLOCK)^j with P_j(X) = sum_i X^i/(_BLOCK j + i)!, i < _BLOCK,
+# the last block also carrying X^_BLOCK/(_BLOCK^2)!: _BLOCK - 1 matmuls build
+# X^2 .. X^_BLOCK and _BLOCK - 1 more run the Horner loop, no linear solve
+# (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  The squarings' roundoff
+# grows like 2^s u, about u |B t|_1 / _THETA, so the degree sets the accuracy
+# at large |B t|: at degree 25 (_THETA 2.41) simulate-mode's energy rise at
+# xi = 1e4 stays within 0.4 of its roundoff bound eps |A t|_1, where degree 16
+# (_THETA 0.78) reached 1.1 of it.
+_BLOCK = 5
+_TAYLOR = np.array([[1.0 / math.factorial(_BLOCK * j + i) if i < _BLOCK or j == _BLOCK - 1
+                     else 0.0 for i in range(_BLOCK + 1)]
+                    for j in range(_BLOCK)])   # _TAYLOR[j, i]: coefficient of X^i in P_j
+_THETA = _taylor_theta(_BLOCK ** 2)
+
+
+def expm(b: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{Bt} for every real matrix B of the stack b (n, 8, 8) and every time,
+    shape (times, n, 8, 8), by scaling and squaring on a Taylor polynomial.
+
+    Each B t gets its own s, the smallest with |B t|_1 / 2^s <= _THETA; the
+    matrices are sorted by it, so the j-th squaring is one batched matmul on
+    the contiguous tail of the stack that still needs it.  Scaling by 2^-s is
+    exact, and every matrix goes through the same operations whatever else
+    the stack holds, so a stacked call equals calls on one matrix at a time.
+    """
+    norm = np.outer(times, np.abs(b).sum(axis=1).max(axis=1)).ravel()   # |B t|_1
+    s = np.maximum(np.frexp(norm / _THETA)[1], 0)   # |B t|_1 / _THETA < 2^s
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    ti, node = np.divmod(order, b.shape[0])
+    p = np.empty((_BLOCK, s.size, DIM, DIM))   # X, X^2, .., X^_BLOCK
+    np.multiply(b[node], (times[ti] * np.ldexp(1.0, -s))[:, None, None], out=p[0])
+    for k in range(1, _BLOCK):
+        np.matmul(p[k - 1], p[0], out=p[k])
+    blocks = np.tensordot(_TAYLOR[:, 1:], p, axes=1)
+    diag = np.arange(DIM)
+    blocks[:, :, diag, diag] += _TAYLOR[:, :1, None]
+    tmp = p[0]   # X is spent; its room takes the products below
+    for j in range(_BLOCK - 2, -1, -1):
+        blocks[j] += np.matmul(blocks[j + 1], p[-1], out=tmp)
+    r = blocks[0]
+    for step in range(int(s[-1]) if s.size else 0):
+        tail = int(np.searchsorted(s, step, side="right"))
+        r[tail:] = np.matmul(r[tail:], r[tail:], out=tmp[tail:])
+    out = np.empty_like(r)
+    out[order] = r
+    return out.reshape(times.size, *b.shape)
+
+
 @functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def energy_sqrt(cfg: SystemConfig) -> np.ndarray:
     """H^1/2 as its diagonal, H the matrix of hermitian_energy; built once per

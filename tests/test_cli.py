@@ -140,8 +140,8 @@ class TestExitCodes:
     def test_simulate_mode_growth_is_exit_one(self, stable_config, tmp_path, monkeypatch):
         """A generator with a growing mode raises the energy far above roundoff.
         The patch replaces the name dynamics.propagate reads the generator from."""
-        batch = dynamics.generator_batch
-        monkeypatch.setattr(dynamics, "generator_batch",
+        batch = dynamics.real_generator_batch
+        monkeypatch.setattr(dynamics, "real_generator_batch",
                             lambda cfg, xi: batch(cfg, xi) + 0.05 * np.eye(8))
         assert main(["simulate-mode", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--xi", "1e4"]) == 1

@@ -12,7 +12,7 @@ from tlab.dynamics import (
     spectra, spectrum,
 )
 from tlab.model import (
-    Tau, assemble_generator, parse_config_text, real_generator_batch,
+    Tau, assemble_generator, generator_batch, parse_config_text, real_generator_batch,
 )
 from tlab.suite import standard_suite, unstable_reference
 
@@ -43,6 +43,22 @@ class TestPropagate:
         one = propagate(cfg, xi, propagate(cfg, xi, s0, [1.5])[0], [2.5])[0]
         two = propagate(cfg, xi, s0, [4.0])[0]
         assert np.allclose(one, two, atol=1e-11)
+
+    @pytest.mark.parametrize("name", ["tau2-type3-zero", "tau3-type3-zero", "tau1-type3-first"])
+    def test_long_time_matches_mpmath(self, name, rng):
+        """At xi in {0, 1e-3} and t = 1e4 (|A t|_1 about 2e4): within 1e-11 of
+        a 40-digit mpmath.expm of the complex A t applied to the state."""
+        mpmath = pytest.importorskip("mpmath")
+        cfg = standard_suite()[name]
+        s0 = random_state(rng)
+        for xi in (0.0, 1e-3):
+            got = propagate(cfg, xi, s0, [1e4])[0]
+            with mpmath.workdps(40):
+                ref = mpmath.expm(mpmath.matrix(generator_batch(cfg, xi)[0].tolist()) * 10000)
+                want = np.array((ref * mpmath.matrix(s0.tolist())).tolist(),
+                                dtype=complex)[:, 0]
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-11, (xi, err)
 
     def test_rejects_bad_time(self, rng):
         cfg = random_config(rng)

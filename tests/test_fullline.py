@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 import oracles
-from tlab import fullline
+from tlab import fullline, model
 from tlab.forms import ETA, PHI, V, Z
 from tlab.fullline import (
     Gaussian, GaussianDerivative, InitialDatum, Zero, decay_series,
@@ -767,7 +767,7 @@ class TestExpmKernel:
         energy bound |e^{Bt}|_2^2 <= alpha2/alpha1 bounds how far the
         exponential carries it; 1000 covers the dimension and the squarings.
         """
-        got = fullline._expm(b, times)
+        got = model.expm(b, times)
         growth = cfg.alpha2 / cfg.alpha1
         for i, t in enumerate(times):
             want = scipy.linalg.expm(b * t)
@@ -789,8 +789,40 @@ class TestExpmKernel:
         self._assert_matches_scipy(cfg, real_generator_batch(cfg, [0.0]),
                                    np.array([1.0, 10.0]))
 
+    @pytest.mark.parametrize("name", ["tau2-type3-zero", "tau3-type3-zero", "tau1-type3-first"])
+    def test_guard_failing_nodes_match_mpmath(self, name):
+        """The nodes xi in {0, 1e-3} at t = 1e4 (|B t|_1 about 2e4), which fail
+        the eigen guards and so take the exponential: within 1e-11 of a
+        40-digit mpmath.expm of the same B times t, relative in the 1-norm."""
+        mpmath = pytest.importorskip("mpmath")
+        cfg = standard_suite()[name]
+        b = real_generator_batch(cfg, [0.0, 1e-3])
+        got = model.expm(b, np.array([1e4]))[0]
+        for bk, ek in zip(b, got):
+            with mpmath.workdps(40):
+                ref = mpmath.expm(mpmath.matrix(bk.tolist()) * 10000)
+                want = np.array(ref.tolist(), dtype=float)
+            err = np.abs(ek - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+            assert err <= 1e-11, err
+
+    def test_stacked_call_is_per_matrix_bitwise(self):
+        """Each matrix of a stacked call equals a call on that matrix and time
+        alone, bit for bit, whatever the stack size and the scalings around it."""
+        rng = np.random.default_rng(26)
+        times = np.array([0.0, 0.3, 7.0, 1e3])
+        for cfg in list(standard_suite().values())[::3]:
+            xi = np.concatenate(([0.0], rng.uniform(0.0, 40.0, size=299)))
+            b = real_generator_batch(cfg, xi)
+            for n in (1, 7, 64, 300):
+                got = model.expm(b[:n], times)
+                for i in rng.choice(times.size * n, size=min(12, times.size * n),
+                                    replace=False):
+                    ti, k = divmod(int(i), n)
+                    one = model.expm(b[k:k + 1], times[ti:ti + 1])[0, 0]
+                    np.testing.assert_array_equal(got[ti, k], one)
+
     def test_norms_at_zero_time_are_the_datum(self):
-        """|e^{B 0} y0|^2 is |y0|^2 itself, and the other times match _expm."""
+        """|e^{B 0} y0|^2 is |y0|^2 itself, and the other times match model.expm."""
         cfg = standard_suite()["tau3-frictional-zero"]
         rng = np.random.default_rng(3)
         y0 = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
@@ -798,7 +830,7 @@ class TestExpmKernel:
         got = fullline._propagated_norms_sq(b, y0, np.array([0.0, 10.0, 0.0]))
         np.testing.assert_array_equal(got[:, 0], np.sum(y0.real ** 2 + y0.imag ** 2, axis=1))
         np.testing.assert_array_equal(got[:, 0], got[:, 2])
-        y = np.einsum("nij,nj->ni", fullline._expm(b, np.array([10.0]))[0], y0)
+        y = np.einsum("nij,nj->ni", model.expm(b, np.array([10.0]))[0], y0)
         np.testing.assert_allclose(got[:, 1], np.sum(np.abs(y) ** 2, axis=1), rtol=1e-14)
 
 

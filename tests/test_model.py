@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +219,17 @@ class TestEnergy:
         s[7] = 1.0
         assert dissipation_rate(cfg, 0.0, s) == pytest.approx(-cfg.k5)
 
+
+def test_no_module_imports_scipy_linalg():
+    """model.expm is the package's only matrix exponential: no module of
+    tlab imports scipy.linalg, in any form."""
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            assert not [n for n in names if n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                        ], (path.name, names)
