@@ -359,9 +359,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: suite takes no --config and every other subcommand needs one",
               file=sys.stderr)
         return 2
-    if args.xi_per_decade < 1 or args.times < 2 or args.j < 0 or args.ell < 0:
-        print("error: grid and derivative flags must be positive", file=sys.stderr)
-        return 2
+    for flag, least in (("xi_per_decade", 1), ("times", 2), ("j", 0), ("ell", 0)):
+        if getattr(args, flag) < least:
+            print(f"error: --{flag.replace('_', '-')} must be >= {least}, "
+                  f"got {getattr(args, flag)}", file=sys.stderr)
+            return 2
     return run(args)
 
 

@@ -58,24 +58,49 @@ def propagate(cfg: SystemConfig, xi: float, u0: np.ndarray,
     return s * (y[..., 0] + 1j * y[..., 1])
 
 
+def eigen_batch(cfg: SystemConfig,
+                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one eigendecomposition: a stacked np.linalg.eig of the
+    energy-scaled generator Bt of model.energy_generator_batch, which has the
+    spectrum of A.  Returns Bt (n, 8, 8), the complex eigenvalues (n, 8) and
+    the eigenvectors as columns (n, 8, 8), unsorted."""
+    b = energy_generator_batch(cfg, xi)
+    try:
+        eigvals, eigvecs = np.linalg.eig(b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n=8
+        raise EigensolverError(f"eigensolver failed on the xi grid: {exc}") from exc
+    return b, eigvals.astype(complex), eigvecs
+
+
+def backward_ok(b: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Per pair, whether |b v - lam v| / |v| <= 1e-10 max(|b|_2, 1), shape (n, 8).
+
+    Since |b|_F / sqrt(8) <= |b|_2, a row whose residuals all pass against
+    1e-10 max(|b|_F / sqrt(8), 1) passes; only the other rows pay for the
+    singular values that give |b|_2.
+    """
+    vec_norm = np.maximum(np.linalg.norm(eigvecs, axis=1), 1e-300)
+    resid = np.linalg.norm(b @ eigvecs - eigvecs * eigvals[:, None, :], axis=1) / vec_norm
+    ok = resid <= 1e-10 * np.maximum(np.linalg.norm(b, axis=(1, 2)) / math.sqrt(DIM), 1.0)[:, None]
+    rows = np.flatnonzero(~ok.all(axis=1))
+    if rows.size:
+        limit = 1e-10 * np.maximum(np.linalg.svd(b[rows], compute_uv=False)[:, 0], 1.0)
+        ok[rows] = resid[rows] <= limit[:, None]
+    return ok
+
+
 def _eigenpairs(cfg: SystemConfig,
                 xi_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors and neutral-mode mask at every grid frequency.
 
-    One stacked real eigendecomposition of the energy-scaled real generator
-    Bt(xi) = H^1/2 S^-1 A(xi) S H^-1/2 of model.energy_generator_batch,
-    which has the spectrum of A.  Since Bt + Bt^T = -2 d E_eta with
-    d = k5 xi^(2 eps0), each eigenpair (lam, v) satisfies
-    Re lam = -d |v_eta|^2 / |v|^2 exactly; the real parts are taken
-    from this identity, which is never positive and keeps its relative
-    accuracy where eig's real part does not.  A mode whose |v_eta| / |v| lies
-    within the first-order eigenvector error 8 eps |Bt|_F / gap (gap: the
-    distance to the nearest other eigenvalue) is neutral, Re lam = 0; so is
-    every mode where d = 0.  Every pair must pass the backward-error check
-    |Bt v - lam v| / |v| <= 1e-10 max(|Bt|_2, 1), else EigensolverError names
-    the frequency.  Since |Bt|_F / sqrt(8) <= |Bt|_2, a row whose residuals
-    all pass against 1e-10 max(|Bt|_F / sqrt(8), 1) passes the check; only
-    the other rows pay for the singular values that give |Bt|_2.  Returns the
+    The pairs of eigen_batch, each of which must pass backward_ok, else
+    EigensolverError names the frequency.  Since Bt + Bt^T = -2 d E_eta,
+    each eigenpair (lam, v) satisfies Re lam = -d |v_eta|^2 / |v|^2
+    exactly; the real parts are taken from this identity, which is never
+    positive and keeps its relative accuracy where eig's real part does not.
+    A mode whose |v_eta| / |v| lies within the first-order eigenvector error
+    8 eps |Bt|_F / gap (gap: the distance to the nearest other eigenvalue) is
+    neutral, Re lam = 0; so is every mode where d = 0.  Returns the
     eigenvalues (n, 8), the eigenvectors v of Bt as columns (n, 8, 8) and the
     neutral mask (n, 8), unsorted.
     """
@@ -84,31 +109,21 @@ def _eigenpairs(cfg: SystemConfig,
         raise ValueError("xi grid is empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("xi grid has non-finite entries")
-    b = energy_generator_batch(cfg, grid)
-    try:
-        eigvals, eigvecs = np.linalg.eig(b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n=8
-        raise EigensolverError(f"eigensolver failed on the xi grid: {exc}") from exc
-    eigvals = eigvals.astype(complex)
+    b, eigvals, eigvecs = eigen_batch(cfg, grid)
     vec_norm = np.maximum(np.linalg.norm(eigvecs, axis=1), 1e-300)
-    resid = np.linalg.norm(b @ eigvecs - eigvecs * eigvals[:, None, :], axis=1) / vec_norm
-    b_frob = np.linalg.norm(b, axis=(1, 2))
-    cheap = 1e-10 * np.maximum(b_frob / math.sqrt(DIM), 1.0)
-    rows = np.flatnonzero(~np.all(resid <= cheap[:, None], axis=1))
-    if rows.size:
-        limit = 1e-10 * np.maximum(np.linalg.svd(b[rows], compute_uv=False)[:, 0], 1.0)
-        bad = ~(resid[rows] <= limit[:, None])
-        if bad.any():
-            k, j = np.argwhere(bad)[0]
-            i = rows[k]
-            raise EigensolverError(
-                f"backward error {resid[i, j]:.3e} too large for eigenvalue "
-                f"{eigvals[i, j]} at xi={grid[i]}"
-            )
+    bad = ~backward_ok(b, eigvals, eigvecs)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        resid = np.linalg.norm(b[i] @ eigvecs[i, :, j] - eigvals[i, j] * eigvecs[i, :, j])
+        raise EigensolverError(
+            f"backward error {resid / vec_norm[i, j]:.3e} too large for eigenvalue "
+            f"{eigvals[i, j]} at xi={grid[i]}"
+        )
     eta_share = np.abs(eigvecs[:, ETA, :]) / vec_norm
     dist = np.abs(eigvals[:, :, None] - eigvals[:, None, :])
     dist[:, range(DIM), range(DIM)] = np.inf
     damping = cfg.k5 * grid[:, None] ** (2 * cfg.epsilon0)
+    b_frob = np.linalg.norm(b, axis=(1, 2))
     neutral = ((eta_share * dist.min(axis=2) <= DIM * np.finfo(float).eps * b_frob[:, None])
                | (damping == 0.0))
     eigvals = np.where(neutral, 0.0, -damping * eta_share ** 2) + 1j * eigvals.imag

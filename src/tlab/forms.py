@@ -53,10 +53,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - m.conj().T))
-
-
 @dataclass(frozen=True)
 class HermitianForm:
     """A real quadratic observable s -> Re(s* M s), M Hermitian."""
@@ -67,7 +63,7 @@ class HermitianForm:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (DIM, DIM):
             raise ValueError(f"expected {DIM}x{DIM} matrix, got {m.shape}")
-        if hermiticity_defect(m) > 1e-14 * max(1.0, float(np.linalg.norm(m))):
+        if np.linalg.norm(m - m.conj().T) > 1e-14 * max(1.0, float(np.linalg.norm(m))):
             raise ValueError("matrix is not Hermitian")
         m = m.copy()
         m.setflags(write=False)

@@ -28,9 +28,9 @@ Branches are labelled by sorting on Im w.  A term goes to Levin on a panel
 only where its phase turns by more than LEVIN_TURN and its guards hold: no
 stationary point of the phase, no branch nearly colliding with another
 (gap against rate of change, LEVIN_GAP), conjugate pairs that stay pairs
-across the panel, and every node of the panel on the eigen path (cond(V)
-within EIG_COND_MAX and the 1-norm backward error within EIG_RESID_MAX;
-other nodes go through expm).  Everything else, the integrand minus the
+across the panel, and every node of the panel on the eigen path (the
+guards of _eigen and the backward check of dynamics.backward_ok; other
+nodes go through expm).  Everything else, the integrand minus the
 Levin terms at the nodes, stays on the Clenshaw-Curtis ladder.  A Levin
 term's error estimate is the difference between Levin on the panel's 33
 nodes and on its nested 17 nodes; it is added to the ladder's estimate, so
@@ -63,12 +63,13 @@ from typing import Sequence
 import numpy as np
 import scipy.special
 
+from tlab import dynamics as _dynamics
 from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
-from tlab.forms import DIM
+from tlab.forms import DIM, SIGMA, THETA, U, Y
 from tlab.model import (
-    SystemConfig, energy_generator_batch, expm, real_generator_batch, real_similarity,
-    symmetrizer,
+    SystemConfig, energy_generator_batch, energy_sqrt, expm, real_generator_batch,
+    real_similarity,
 )
 
 
@@ -235,8 +236,8 @@ EPSREL = 1e-9
 EPSABS = 1e-13             # times |d^j U0|_{L2}^2, so rescaled data refine alike
 ACCEPT_REL = 1e-5          # final error estimate above this share of the value fails
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
-EIG_COND_MAX = 1e5         # above this 1-norm cond(V), a node is propagated by expm
-EIG_RESID_MAX = 1e-10      # ... and above this 1-norm backward error of (w, V)
+EIG_COND_MAX = 1e5         # above this 1-norm cond(Vt), a node is propagated by expm
+EIG_RESID_MAX = 1e-10      # ... and above this 1-norm residual |W Vt - I| per cond(Vt)
 # A node costs one eigendecomposition and its guards (about 20 us) on the eigen
 # path, or about 2 us per positive time through expm.  On 60 seeded short-time
 # norms (best of 5) the route took 0.54-0.77 of the eigen path's time at 3-6
@@ -284,6 +285,11 @@ _CC_D = {s: _chebyshev_diff(128 // s) for s in (8, 4)}
 # The modal terms of |e^{Bt} y0|^2 = sum_kl conj(u_k).u_l e^{t (conj(w_k) + w_l)}
 # with k < l; the terms with k > l are their conjugates.
 _PAIR_K, _PAIR_L = np.triu_indices(DIM, 1)
+
+
+# The parity P, -1 on (u, y, theta, sigma) and +1 on (v, z, phi, eta): the energy-scaled
+# generator's skew part only couples opposite parities, so P Bt is symmetric (see _eigen)
+_PARITY = np.where(np.isin(np.arange(DIM), [U, Y, THETA, SIGMA]), -1.0, 1.0)
 
 
 def _term_classes(n_real: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,39 +388,31 @@ def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
 
 
 def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
-    """One eigendecomposition of the real B = S^-1 A S per node.
+    """The real B = S^-1 A S per node, through the kernel dynamics.eigen_batch.
 
     With the real similarity S, |e^{At} u| = |e^{Bt} y0| for y0 = S^-1 u.
-    J B is symmetric for the diagonal J of model.symmetrizer, so the rows of
-    V^-1 are W_i = (J v_i)^T / (v_i^T J v_i) wherever the eigenvalues are
-    distinct.  A node fails the guard and gets c = 0 when W is not V's
-    inverse, |W V - I|_1 > EIG_RESID_MAX cond(V) (a repeated eigenvalue, or
-    v_i^T J v_i = 0), or when V is ill-conditioned, 1-norm cond(V) =
-    |V|_1 |W|_1 above EIG_COND_MAX.
+    The kernel gives Bt = H^1/2 B H^-1/2 = Vt diag(w) Vt^-1, and P Bt is
+    symmetric, so the rows of Vt^-1 are W_i = (P v_i)^T / (v_i^T P v_i)
+    wherever the eigenvalues are distinct; c = W H^1/2 y0 and V = H^-1/2 Vt.
+    A node fails the guard and gets c = 0 when W is not Vt's inverse,
+    |W Vt - I|_1 > EIG_RESID_MAX cond(Vt) (a repeated eigenvalue, or
+    v_i^T P v_i = 0), or 1-norm cond(Vt) = |Vt|_1 |W|_1 > EIG_COND_MAX.
     """
-    b = real_generator_batch(cfg, xi)
+    _, w, v = _dynamics.eigen_batch(cfg, xi)
     y0 = uhat0 / real_similarity(cfg)
-    w, v = np.linalg.eig(b)
-    jv = symmetrizer(cfg)[:, None] * v
-    with np.errstate(divide="ignore", invalid="ignore"):   # v_i^T J v_i = 0 fails below
-        vinv = jv.transpose(0, 2, 1) / np.sum(v * jv, axis=1)[:, :, None]
+    pv = _PARITY[:, None] * v
+    with np.errstate(divide="ignore", invalid="ignore"):   # v_i^T P v_i = 0 fails below
+        vinv = pv.transpose(0, 2, 1) / np.sum(v * pv, axis=1)[:, :, None]
         cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
         resid = np.abs(vinv @ v - np.eye(DIM)).sum(axis=1).max(axis=1)
     ok = (cond <= EIG_COND_MAX) & (resid <= EIG_RESID_MAX * cond)   # NaN fails too
     vinv[~ok] = 0.0   # keeps inf and NaN out of the batch
-    # where eigenvalues cluster, W is V^-1 only up to E = W V - I; one step
-    # of refinement, c + W (y0 - V c), leaves an error of order E^2
-    c = np.einsum("nij,nj->ni", vinv, y0)
-    c += np.einsum("nij,nj->ni", vinv, y0 - np.einsum("nij,nj->ni", v, c))
-    return _Eigen(b, y0, w, v, c, ok)
-
-
-def _backward_ok(e: _Eigen, rows: np.ndarray) -> np.ndarray:
-    """|BV - V diag(w)|_1 <= EIG_RESID_MAX max(|B|_1, 1) |V|_1 at the given nodes."""
-    b, w, v = e.b[rows], e.w[rows], e.v[rows]
-    resid = np.abs(b @ v - v * w[:, None, :]).sum(axis=1).max(axis=1)
-    scale = np.maximum(np.abs(b).sum(axis=1).max(axis=1), 1.0) * np.abs(v).sum(axis=1).max(axis=1)
-    return resid <= EIG_RESID_MAX * scale
+    # where eigenvalues cluster, W is Vt^-1 only up to E = W Vt - I; one step
+    # of refinement, c + W (yt - Vt c), leaves an error of order E^2
+    yt = energy_sqrt(cfg) * y0
+    c = np.einsum("nij,nj->ni", vinv, yt)
+    c += np.einsum("nij,nj->ni", vinv, yt - np.einsum("nij,nj->ni", v, c))
+    return _Eigen(real_generator_batch(cfg, xi), y0, w, v / energy_sqrt(cfg)[:, None], c, ok)
 
 
 def _propagated_norms_sq(b: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -633,8 +631,8 @@ def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: n
 
     A new panel takes the modal split when _levin_terms finds a term for it;
     a refined panel keeps the split it had.  Either way the split needs
-    every node of the panel on the eigen path, and its nodes then pass the
-    backward-error guard too.  Returns each panel's nodes, with the split
+    every node of the panel on the eigen path, and its nodes then pass
+    dynamics.backward_ok too, on the pairs of B.  Returns each panel's nodes, with the split
     where it has one, and each new panel's Levin terms (None where
     _levin_terms did not run).
     """
@@ -658,7 +656,7 @@ def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: n
     amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
     if rows.size:
         ok = e.ok.copy()
-        ok[rows] &= _backward_ok(e, rows)
+        ok[rows] &= _dynamics.backward_ok(e.b[rows], e.w[rows], e.v[rows]).all(axis=1)
         e = replace(e, ok=ok)
         amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
     f = _mode_norms_sq(e, times) * weight
@@ -684,11 +682,11 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     the number of times stay within 129 x 32, which bounds the working
     memory, and on the expm route while their new nodes stay within
     EXPM_BATCH_NODES, which keeps its stacks in cache.  Each node's
-    eigendecomposition is its own LAPACK call and each node's exponential
-    its own scaling, so the batching does not change the results.  Also
-    returns each panel's nodes while it is below 129 points (None
-    otherwise), the numbers of nodes evaluated and of those that went
-    through np.linalg.eig, and the number of Levin systems solved.
+    eigendecomposition (dynamics.eigen_batch) is its own LAPACK call and
+    each node's exponential its own scaling, so the batching does not
+    change the results.  Also returns each panel's nodes while it is below
+    129 points (None otherwise), the numbers of nodes evaluated and of those
+    that were eigendecomposed, and the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)
     fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]

@@ -344,19 +344,6 @@ def energy_generator_batch(cfg: SystemConfig, xi: np.ndarray) -> np.ndarray:
     return real_generator_batch(cfg, xi) * (h_sqrt[:, None] / h_sqrt)
 
 
-def symmetrizer(cfg: SystemConfig) -> np.ndarray:
-    """The diagonal of J = P H, with J B(xi) exactly symmetric for every xi.
-
-    H = diag(k1, 1, k2, 1, k3, 1, k4, 1) is twice the energy matrix and P is
-    +1 on (v, z, phi, eta) and -1 on (u, y, theta, sigma).  By the energy
-    identity H B = K - d e e^T, with K real skew and e the eta unit vector,
-    and K only couples a component where P = +1 to one where P = -1, so
-    P K, and with it J B, is symmetric.  Eigenvectors of B for distinct
-    eigenvalues are then J-orthogonal: v_k^T J v_i = 0.
-    """
-    return np.array([cfg.k1, -1.0, cfg.k2, -1.0, cfg.k3, -1.0, -cfg.k4, 1.0])
-
-
 def hermitian_energy(cfg: SystemConfig) -> HermitianForm:
     """Mode energy Ehat = (1/2)(k1|v|^2+|u|^2+k2|z|^2+|y|^2+k3|phi|^2+|theta|^2+k4|sigma|^2+|eta|^2)."""
     diag = 0.5 * np.array(

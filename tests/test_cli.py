@@ -63,6 +63,24 @@ class TestExitCodes:
         assert main(["identities", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--times", "1"]) == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--times", "1", "--times must be >= 2, got 1"),
+        ("--xi-per-decade", "0", "--xi-per-decade must be >= 1, got 0"),
+        ("--j", "-1", "--j must be >= 0, got -1"),
+        ("--ell", "-2", "--ell must be >= 0, got -2"),
+    ])
+    def test_bad_flag_names_its_bound(self, flag, value, message, stable_config, tmp_path,
+                                      capsys):
+        assert main(["predict", "--config", str(stable_config), "--out", str(tmp_path / "o"),
+                     flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag,value", [("--times", "2"), ("--xi-per-decade", "1"),
+                                            ("--j", "0"), ("--ell", "0")])
+    def test_flag_at_its_bound_is_accepted(self, flag, value, stable_config, tmp_path):
+        assert main(["predict", "--config", str(stable_config), "--out", str(tmp_path / "o"),
+                     flag, value]) == 0
+
     def test_unknown_subcommand(self, stable_config, tmp_path):
         assert main(["frobnicate", "--config", str(stable_config),
                      "--out", str(tmp_path / "o")]) == 2

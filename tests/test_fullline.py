@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 import oracles
-from tlab import fullline, model
+from tlab import dynamics, fullline, model
 from tlab.forms import ETA, PHI, V, Z
 from tlab.fullline import (
     Gaussian, GaussianDerivative, InitialDatum, Zero, decay_series,
@@ -15,7 +15,8 @@ from tlab.fullline import (
     verify_theorem_bound,
 )
 from tlab.model import (
-    assemble_generator, energy_generator_batch, generator_batch, real_generator_batch,
+    assemble_generator, energy_generator_batch, energy_sqrt, generator_batch,
+    real_generator_batch,
 )
 from tlab.suite import standard_suite, unstable_reference
 
@@ -292,7 +293,7 @@ class TestBatchedKernel:
             solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values, rel=1e-10)
 
     def test_coefficients_match_solve(self):
-        """c read off the J-orthogonal rows (J v_i)^T / (v_i^T J v_i) matches
+        """c read off the P-orthogonal rows (P v_i)^T / (v_i^T P v_i) matches
         np.linalg.solve(V, y0) to 1e-12 at every node that passes the guard,
         on the 14 cells and covering_configs, with random complex data."""
         xi = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 399)))
@@ -305,10 +306,21 @@ class TestBatchedKernel:
             err = np.abs(e.c[e.ok] - want).max(axis=1)
             assert np.all(err <= 1e-12 * np.abs(want).max(axis=1)), cfg
 
+    def test_eigenvalues_are_the_kernels(self):
+        """_eigen reads dynamics.eigen_batch: its eigenvalues are the kernel's,
+        bit for bit, and its eigenvectors the kernel's over H^1/2."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 99)))
+        datum = _mixed_datum()
+        for cfg in [*standard_suite().values(), unstable_reference()]:
+            e = fullline._eigen(cfg, xi, datum.fourier(xi).T)
+            _, w, v = dynamics.eigen_batch(cfg, xi)
+            assert e.w.tobytes() == w.tobytes(), cfg
+            assert e.v.tobytes() == (v / energy_sqrt(cfg)[:, None]).tobytes(), cfg
+
     def test_repeated_eigenvalue_fails_the_guard(self, monkeypatch):
         """At xi = 0 the eigenvalue 0 of B is repeated, and any basis of its
         eigenspace is a valid eig result.  With two of its eigenvectors mixed,
-        the rows (J v_i)^T / (v_i^T J v_i) are no inverse of V: that node
+        the rows (P v_i)^T / (v_i^T P v_i) are no inverse of Vt: that node
         fails the guard and gets the expm value, and the others keep the
         eigen path."""
         cfg = standard_suite()["tau2-type3-first"]
@@ -702,9 +714,9 @@ class TestLevin:
 
     def test_backward_error_sends_panel_to_ladder(self, monkeypatch):
         """A perturbed eigenvalue at a node that would feed Levin fails the
-        1-norm backward-error guard: the node is propagated by expm, its
-        panel is integrated without Levin, and the norm still matches the
-        oracle."""
+        shared backward check dynamics.backward_ok: the node is propagated
+        by expm, its panel is integrated without Levin, and the norm still
+        matches the oracle."""
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
         times = np.array([0.0, 100.0])

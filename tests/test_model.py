@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tlab import model
+from tlab import fullline, model
+from tlab.forms import ETA, SIGMA, THETA, U, Y
 from tlab.model import (
     ConfigError, Coupling, Damping, SystemConfig, Tau,
     assemble_generator, config_text, dissipation_rate, energy_generator_batch, energy_sqrt,
     generator_batch, hermitian_energy, parse_config_text, real_generator_batch, real_similarity,
-    symmetrizer,
 )
 from tlab.dynamics import default_xi_grid
 from tlab.suite import standard_suite
@@ -172,16 +172,23 @@ class TestGenerator:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
 
-    def test_symmetrizer_makes_the_real_generator_symmetric(self):
-        """J B(xi) is exactly symmetric, J = P H with H twice the energy
-        matrix and P = -1 on (u, y, theta, sigma), on the 14 cells and
+    def test_energy_generator_is_parity_symmetric_and_damped_on_eta(self):
+        """The facts the eigen kernel relies on: P Bt is symmetric for the
+        parity P = -1 on (u, y, theta, sigma), and Bt + Bt^T = -2 d E_eta with
+        d = k5 xi^(2 eps0), each within 4 eps max|Bt|, on the 14 cells and
         covering_configs at 400 frequencies."""
         xi = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 399)))
+        parity = np.ones(8)
+        parity[[U, Y, THETA, SIGMA]] = -1.0
+        assert np.array_equal(fullline._PARITY, parity)
         for cfg in [*standard_suite().values(), *covering_configs(np.random.default_rng(75), 2)]:
-            j = symmetrizer(cfg)
-            assert np.array_equal(np.abs(j), 2.0 * np.diag(hermitian_energy(cfg).matrix).real)
-            jb = j[:, None] * real_generator_batch(cfg, xi)
-            assert np.array_equal(jb, jb.transpose(0, 2, 1)), cfg
+            b = energy_generator_batch(cfg, xi)
+            tol = 4.0 * np.finfo(float).eps * np.abs(b).max(axis=(1, 2))[:, None, None]
+            pb = parity[:, None] * b
+            assert np.all(np.abs(pb - pb.transpose(0, 2, 1)) <= tol), cfg
+            damping = np.zeros_like(b)
+            damping[:, ETA, ETA] = -2.0 * cfg.k5 * xi ** (2 * cfg.epsilon0)
+            assert np.all(np.abs(b + b.transpose(0, 2, 1) - damping) <= tol), cfg
 
 
 class TestEnergy:
@@ -218,6 +225,20 @@ class TestEnergy:
         s = np.zeros(8, complex)
         s[7] = 1.0
         assert dissipation_rate(cfg, 0.0, s) == pytest.approx(-cfg.k5)
+
+
+def test_one_eig_call():
+    """dynamics.eigen_batch holds the package's only np.linalg.eig call: every
+    spectrum, the non-decay witness and the whole-line norms share it."""
+    calls = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.eig",
+                                                                        "numpy.linalg.eig"):
+                calls.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                assert "eig" not in [a.name for a in node.names], path.name
+    assert calls == ["dynamics.py"]
 
 
 def test_no_module_imports_scipy_linalg():
