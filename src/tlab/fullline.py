@@ -42,15 +42,17 @@ their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of
 the tolerance stay on the ladder, with that mass added to its estimate.
 
 A node needs the eigendecomposition only for the modal split.  On a grid of
-at most EXPM_MAX_TIMES positive times, a panel that can never carry a Levin
-term propagates its new nodes by model.expm instead, the package's batched
-real exponential (a Taylor polynomial with scaling and squaring, no linear
-solve): a refined panel without a split, or a new panel where 2 t_max |K|_2
-stays within LEVIN_TURN at both ends, K the skew part of the energy-scaled
-generator.  |K|_2 bounds every |Im w| there, and since the spectrum is
-closed under conjugation each branch's Im keeps one sign, so no branch
-swings by more than |K|_2.  The route moves the integrand by roundoff only:
-no panel layout, split, node or Levin system changes.
+at most EXPM_MAX_TIMES positive times, a panel where the split does not pay
+for itself propagates its new nodes by model.expm instead, the package's
+batched real exponential (a Taylor polynomial with scaling and squaring, no
+linear solve): a refined panel without a split, or a new panel where
+2 t_max |K|_2 stays within EXPM_ROUTE_TURNS LEVIN_TURN at both ends, K the
+skew part of the energy-scaled generator.  |K|_2 bounds every |Im w| there,
+and since the spectrum is closed under conjugation each branch's Im keeps
+one sign, so no branch swings by more than |K|_2 and no term's phase turns
+by more than EXPM_ROUTE_TURNS LEVIN_TURN.  Such a turn the ladder resolves
+with a few more nodes, which on short grids costs less than the
+eigendecomposition, its guards and the Levin bookkeeping.
 """
 
 from __future__ import annotations
@@ -202,7 +204,12 @@ class InitialDatum:
 
     def fourier(self, xi: float | np.ndarray) -> np.ndarray:
         """Uhat0(xi): shape (8,) for a scalar xi, (8, n) for n frequencies."""
-        return np.array([p.fourier(xi) for p in self.profiles], dtype=complex)
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros((DIM,) + xi.shape, dtype=complex)
+        for i, p in enumerate(self.profiles):
+            if not isinstance(p, Zero):
+                out[i] = p.fourier(xi)
+        return out
 
     def l1_norm(self) -> float:
         return float(sum(p.l1_norm() for p in self.profiles))
@@ -244,6 +251,14 @@ EIG_RESID_MAX = 1e-10      # ... and above this 1-norm residual |W Vt - I| per c
 # positive times and 0.90-0.91 at 7-8, a gain this host's noise does not
 # resolve; with more positive times than this, every node takes the eigen path
 EXPM_MAX_TIMES = 6
+# On such a grid a new panel goes to expm while 2 t_max |K|_2, which bounds
+# every term's turn, stays within this many LEVIN_TURN.  On norms-short
+# triples (seeds 3-4, best of 7, interleaved) 4 took 0.61-0.99 of the time
+# of a roundoff-only route (factor 1 - 1e-6) at 1-6 positive times, 5 and 6
+# took 1.03 at 6; up to 6 no more norms than with that route missed an
+# EPSREL 1e-12 reference by more than their estimates, with times scaled by
+# 1, 3, 10 and 30 (seeds 1, 7, 913), while 7 and 8 missed more
+EXPM_ROUTE_TURNS = 4.0
 # nodes per expm batch: beyond this its 8x8 stacks fall out of cache.  At 2
 # positive times a node-time cost 1.7-1.9 us in batches of 64-256 nodes and
 # 2.3-3.5 us at 512-2,048 (best of 15, one Xeon core, OpenBLAS, numpy 2.4)
@@ -290,6 +305,7 @@ _PAIR_K, _PAIR_L = np.triu_indices(DIM, 1)
 # The parity P, -1 on (u, y, theta, sigma) and +1 on (v, z, phi, eta): the energy-scaled
 # generator's skew part only couples opposite parities, so P Bt is symmetric (see _eigen)
 _PARITY = np.where(np.isin(np.arange(DIM), [U, Y, THETA, SIGMA]), -1.0, 1.0)
+_EVEN, _ODD = np.flatnonzero(_PARITY > 0), np.flatnonzero(_PARITY < 0)
 
 
 def _term_classes(n_real: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +344,8 @@ class NormQuadrature:
     values: np.ndarray   # per time
     errors: np.ndarray   # error estimate per time, same scale as values, tail_bound included
     nodes: int           # frequency nodes evaluated, over all refinement rounds
-    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to expm)
+    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to expm,
+                         # on short grids nearly all of them)
     levin: int           # Levin systems solved, on 33 and on 17 nodes alike
     cutoff: float        # the frequencies integrated are [0, cutoff]
     tail_bound: float    # bound on the norm's part beyond the cutoff, same scale as values
@@ -579,19 +596,22 @@ def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.nda
                 held: list[_Nodes | None]) -> np.ndarray:
     """Per panel, whether its new nodes go through expm instead of _eigen.
 
-    Only when the times hold at most EXPM_MAX_TIMES positive ones, and only
-    for a panel that can never carry a Levin term: a refined panel that
-    holds no modal split, or a new panel with 2 t_max |K|_2 <= LEVIN_TURN
-    at both ends, K the skew part of model.energy_generator_batch.  Every
-    eigenvalue has |Im| <= |K(xi)|_2 (Bendixson, Acta Math. 25, 1902),
-    which is convex in xi since K is affine, so within the panel |Im| stays
-    below the larger of |K(lo)|_2 and |K(hi)|_2.  B is real, so its
-    spectrum is closed under conjugation: sorted by Im, branches 0-3 keep
-    Im <= 0 and branches 4-7 Im >= 0, and no branch's Im swings by more
-    than that larger norm.  _eigen_nodes' screen 2 swing t_max >
-    LEVIN_TURN, swing the widest swing of one branch's Im on the panel,
-    then cannot pass; the factor 1 - 1e-6 keeps the eigenvalues' roundoff
-    on the safe side.  The route depends on the config, the times and the
+    Only when the times hold at most EXPM_MAX_TIMES positive ones: a
+    refined panel that holds no modal split, or a new panel with 2 t_max
+    |K|_2 <= EXPM_ROUTE_TURNS LEVIN_TURN at both ends, K the skew part of
+    model.energy_generator_batch (LEVIN_TURN is read at each call, so with
+    Levin off every panel takes expm).  Every eigenvalue has |Im| <= |K(xi)|_2
+    (Bendixson, Acta Math. 25, 1902), which is convex in xi since K is
+    affine, so within the panel |Im| stays below the larger of |K(lo)|_2 and
+    |K(hi)|_2.  B is real, so its spectrum is closed under conjugation:
+    sorted by Im, branches 0-3 keep Im <= 0 and branches 4-7 Im >= 0, and no
+    branch's Im swings by more than that larger norm.  The bound thus caps
+    the turn of every term the eigen route could send to Levin; below it
+    the ladder resolves the turn with a few more nodes for less than the
+    eigendecomposition would cost.  In the order E = (v, z, phi, eta), O =
+    (u, y, theta, sigma), K = [[0, -C^T], [C, 0]] with C the block (O, E) of
+    the energy-scaled generator, so |K|_2 = |C|_2 (to roundoff), taken once
+    per distinct edge.  The route depends on the config, the times and the
     panel only.
     """
     if np.count_nonzero(times) > EXPM_MAX_TIMES:
@@ -599,10 +619,11 @@ def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.nda
     new = np.array([h is None for h in held], dtype=bool)
     route = np.array([h is not None and h.w is None for h in held], dtype=bool)
     if new.any():
-        b = energy_generator_batch(cfg, np.concatenate((lo[new], hi[new])))
-        reach = 0.5 * np.linalg.norm(b - b.transpose(0, 2, 1), 2, axis=(1, 2))
+        edges, at = np.unique(np.concatenate((lo[new], hi[new])), return_inverse=True)
+        b = energy_generator_batch(cfg, edges)
+        reach = np.linalg.norm(b[:, _ODD[:, None], _EVEN], 2, axis=(1, 2))[at]
         route[new] = (2.0 * times.max() * np.maximum(*reach.reshape(2, -1))
-                      <= (1.0 - 1e-6) * LEVIN_TURN)
+                      <= EXPM_ROUTE_TURNS * LEVIN_TURN)
     return route
 
 
@@ -676,8 +697,9 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     are evaluated and only the missing Levin systems solved.  The new nodes
     of a panel that _expm_route sends there are propagated by expm and
     never split into modal terms; the others go through _eigen_nodes.  The
-    route picks the cheaper kernel only where it cannot change which terms
-    go to Levin, so it changes the integrand by roundoff and nothing else.
+    route picks expm where the ladder integrates the panel's terms for less
+    than the eigendecomposition and Levin would cost, so a routed panel may
+    take more nodes than on the eigen route, within the same tolerance.
     Panels of one route are evaluated together while their new nodes times
     the number of times stay within 129 x 32, which bounds the working
     memory, and on the expm route while their new nodes stay within
@@ -747,9 +769,10 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     a guard sends it back: a stationary point of its phase, a branch that
     nearly collides with another, a conjugate pair that does not stay one,
     or a node off the eigen path.  On a grid of at most EXPM_MAX_TIMES
-    positive times, panels that can never carry a Levin term skip the
-    eigendecomposition and propagate their nodes by expm (_expm_route),
-    which changes the values by roundoff only.  Everything else, the
+    positive times, panels whose terms turn by at most EXPM_ROUTE_TURNS
+    LEVIN_TURN skip the eigendecomposition and propagate their nodes by
+    expm (_expm_route); the ladder then integrates every term of those
+    panels, within the same tolerances.  Everything else, the
     integrand minus the Levin terms, stays on the Clenshaw-Curtis rule.
     A panel's error estimate is the rule against the nested rule of half
     its points, plus each Levin integral against Levin on the nested 17

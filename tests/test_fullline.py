@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracles
 from tlab import dynamics, fullline, model
-from tlab.forms import ETA, PHI, V, Z
+from tlab.forms import ETA, PHI, SIGMA, V, Z
 from tlab.fullline import (
     Gaussian, GaussianDerivative, InitialDatum, Zero, decay_series,
     default_times, fit_tail_exponent, sobolev_norm_sq, solution_norms_sq,
@@ -119,6 +119,20 @@ class TestProfiles:
         for m in range(3):
             assert datum.sobolev_norm_sq(m) == sum(p.sobolev_norm_sq(m) for p in parts)
         assert calls == []
+
+    def test_datum_fourier_scalar_matches_array(self):
+        """InitialDatum.fourier at a scalar xi is, bit for bit, the column of
+        the array call at that xi, and each slot is its profile's transform."""
+        datum = _mixed_datum()
+        xi = np.array([0.0, 1e-3, 0.37, 2.0, 11.5])
+        got = datum.fourier(xi)
+        assert got.shape == (8, xi.size) and got.dtype == complex
+        for k, x in enumerate(xi):
+            one = datum.fourier(float(x))
+            assert one.shape == (8,)
+            np.testing.assert_array_equal(one, got[:, k])
+        for slot, profile in zip(got, datum.profiles):
+            np.testing.assert_array_equal(slot, np.asarray(profile.fourier(xi), dtype=complex))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -499,6 +513,26 @@ class TestLayout:
         assert np.all(np.abs(got.values - tight.values)
                       <= got.errors + tight.errors + 1e-13 * tight.values)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: the estimate misses part of "
+                                           "the error at t = 126 on a short grid")
+    def test_short_grid_first_cell_errors_cover_a_tighter_run(self, monkeypatch):
+        """tau3-frictional-first, j = 0, times [0, 23.93214, 126.06861], a
+        datum on phi, sigma and eta: at t = 126.07 the reported error is
+        6.7e-10 relative and the distance to a run at EPSREL 1e-12 is 7.3e-9.
+        That run agrees with one with Levin off to 1e-15."""
+        cfg = standard_suite()["tau3-frictional-first"]
+        profiles = [Zero()] * 8
+        profiles[PHI] = Gaussian(-1.409439, 0.802285)
+        profiles[SIGMA] = Gaussian(-1.510382, 1.039146)
+        profiles[ETA] = GaussianDerivative(2, 1.187484, 1.983365)
+        datum = InitialDatum(profiles=tuple(profiles))
+        times = [0.0, 23.93214, 126.06861]
+        got = solution_norms_sq(cfg, datum, times, 0)
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        tight = solution_norms_sq(cfg, datum, times, 0)
+        assert np.all(np.abs(got.values - tight.values)
+                      <= got.errors + tight.errors + 1e-13 * tight.values)
+
 
 def _synthetic_panel(im: np.ndarray, middle: np.ndarray | None = None) -> np.ndarray:
     """Branches on a panel's 33 nodes, sorted by (Im, Re): the lower half
@@ -658,7 +692,10 @@ class TestLevin:
         terms and no more: those never reach _levin, every other term does,
         and the panel's error at t = 100 includes their mass (twice their
         L1 mass on the panel), which is far above its estimate with every
-        term on Levin."""
+        term on Levin.  The panel's route bound 2 t |K|_2 is 6.7 LEVIN_TURN,
+        near EXPM_ROUTE_TURNS, so the eigen route is forced: the test needs
+        the modal split whatever that constant is."""
+        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
         cfg = standard_suite()["tau3-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         times = np.array([0.0, 100.0])
@@ -866,21 +903,36 @@ def _short_grid_cases():
 
 class TestExpmRoute:
     def test_short_grids_match_the_eigen_route(self, monkeypatch):
-        """With EXPM_MAX_TIMES at 0 every node takes the eigen route; by
-        default a short grid sends some nodes to _expm, on the same nodes
-        and Levin systems and with the same norms and estimates to
-        roundoff."""
+        """With EXPM_MAX_TIMES at 0 every node takes the eigen route.  By
+        default a short grid sends nearly every new panel to expm, where the
+        ladder resolves with a few more nodes what Levin would integrate:
+        the norms agree within the summed estimates, up to roundoff (1e-14
+        relative, where both routes have the same nodes), and within 1e-12
+        relative, and at most 5 % of the nodes are eigendecomposed."""
         cases = _short_grid_cases()
         got = [solution_norms_sq(cfg, datum, times, j) for cfg, datum, times, j in cases]
         monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
         for (cfg, datum, times, j), fast in zip(cases, got):
             ref = solution_norms_sq(cfg, datum, times, j)
             assert ref.eig == ref.nodes
-            assert (fast.nodes, fast.levin) == (ref.nodes, ref.levin), cfg
+            assert np.all(np.abs(fast.values - ref.values)
+                          <= fast.errors + ref.errors + 1e-14 * ref.values), cfg
             np.testing.assert_allclose(fast.values, ref.values, rtol=1e-12, err_msg=str(cfg))
-            np.testing.assert_allclose(fast.errors, ref.errors, rtol=1e-6,
-                                       atol=1e-12 * ref.values.max(), err_msg=str(cfg))
-        assert sum(q.eig for q in got) < 0.25 * sum(q.nodes for q in got)
+        assert sum(q.eig for q in got) <= 0.05 * sum(q.nodes for q in got)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_short_grid_errors_cover_a_tight_reference(self, scale, monkeypatch):
+        """The short grids with their times scaled by 1 and 3: each reported
+        error covers the distance to an eigen-route run at EPSREL 1e-12, up
+        to that run's own tolerance."""
+        cases = [(cfg, datum, [scale * t for t in times], j)
+                 for cfg, datum, times, j in _short_grid_cases()]
+        got = [solution_norms_sq(cfg, datum, times, j) for cfg, datum, times, j in cases]
+        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
+        monkeypatch.setattr(fullline, "EPSREL", 1e-12)
+        for (cfg, datum, times, j), q in zip(cases, got):
+            ref = solution_norms_sq(cfg, datum, times, j).values
+            assert np.all(np.abs(q.values - ref) <= q.errors + 1e-12 * np.abs(ref)), cfg
 
     def test_long_times_keep_the_levin_count(self, monkeypatch):
         """tau2-frictional-zero at t = 1e3, 1e4: two positive times, so
@@ -903,12 +955,14 @@ class TestExpmRoute:
         assert got.eig == got.nodes
 
     def test_skew_part_bounds_every_swing(self):
-        """Where a new panel passes _expm_route's screen, the eigen route's
-        screen 2 swing t_max > LEVIN_TURN fails on its 33 nodes, for t_max
-        just inside the route's bound: every eigenvalue has |Im| <= |K|_2
-        at the larger end, and B is real, so sorted by Im, branches 0-3
+        """What _expm_route's bound measures: 2 t_max |K|_2, K the skew part
+        at the panel's larger end, is at least twice the widest swing of
+        one branch's Im on the panel, times t_max.  Every eigenvalue has
+        |Im| <= |K|_2 there, and B is real, so sorted by Im, branches 0-3
         keep Im <= 0 and branches 4-7 Im >= 0, and no branch swings by more
-        than |K|_2."""
+        than |K|_2.  So at t_max just inside LEVIN_TURN / (2 |K|_2), which
+        the route takes, the eigen route's screen 2 swing t_max > LEVIN_TURN
+        fails on the panel's 33 nodes."""
         rng = np.random.default_rng(26)
         edges = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 25)))
         lo, hi = edges[:-1], edges[1:]
