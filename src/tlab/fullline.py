@@ -677,7 +677,7 @@ def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: n
     amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
     if rows.size:
         ok = e.ok.copy()
-        ok[rows] &= _dynamics.backward_ok(e.b[rows], e.w[rows], e.v[rows]).all(axis=1)
+        ok[rows] &= _dynamics.backward_ok(e.b[rows], e.w[rows], e.v[rows])[0].all(axis=1)
         e = replace(e, ok=ok)
         amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
     f = _mode_norms_sq(e, times) * weight

@@ -280,10 +280,9 @@ def _taylor_theta(degree: int) -> float:
 # the last block also carrying X^_BLOCK/(_BLOCK^2)!: _BLOCK - 1 matmuls build
 # X^2 .. X^_BLOCK and _BLOCK - 1 more run the Horner loop, no linear solve
 # (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  The squarings' roundoff
-# grows like 2^s u, about u |B t|_1 / _THETA, so the degree sets the accuracy
-# at large |B t|: at degree 25 (_THETA 2.41) simulate-mode's energy rise at
-# xi = 1e4 stays within 0.4 of its roundoff bound eps |A t|_1, where degree 16
-# (_THETA 0.78) reached 1.1 of it.
+# grows like 2^(s+1) u, about u |B t|_1 / _THETA, so the degree sets the
+# accuracy at large |B t|; simulate-mode takes its roundoff bound from
+# expm_squarings, so its verdict does not depend on _THETA.
 _BLOCK = 5
 _TAYLOR = np.array([[1.0 / math.factorial(_BLOCK * j + i) if i < _BLOCK or j == _BLOCK - 1
                      else 0.0 for i in range(_BLOCK + 1)]
@@ -291,18 +290,24 @@ _TAYLOR = np.array([[1.0 / math.factorial(_BLOCK * j + i) if i < _BLOCK or j == 
 _THETA = _taylor_theta(_BLOCK ** 2)
 
 
+def expm_squarings(b: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The squarings s that expm takes for each B t, time-major, shape
+    (times * n,): the smallest s >= 0 with |B t|_1 / 2^s <= _THETA."""
+    norm = np.outer(times, np.abs(b).sum(axis=1).max(axis=1)).ravel()   # |B t|_1
+    return np.maximum(np.frexp(norm / _THETA)[1], 0)   # |B t|_1 / _THETA < 2^s
+
+
 def expm(b: np.ndarray, times: np.ndarray) -> np.ndarray:
     """e^{Bt} for every real matrix B of the stack b (n, 8, 8) and every time,
     shape (times, n, 8, 8), by scaling and squaring on a Taylor polynomial.
 
-    Each B t gets its own s, the smallest with |B t|_1 / 2^s <= _THETA; the
-    matrices are sorted by it, so the j-th squaring is one batched matmul on
-    the contiguous tail of the stack that still needs it.  Scaling by 2^-s is
-    exact, and every matrix goes through the same operations whatever else
-    the stack holds, so a stacked call equals calls on one matrix at a time.
+    Each B t gets its own s from expm_squarings; the matrices are sorted by
+    it, so the j-th squaring is one batched matmul on the contiguous tail of
+    the stack that still needs it.  Scaling by 2^-s is exact, and every
+    matrix goes through the same operations whatever else the stack holds,
+    so a stacked call equals calls on one matrix at a time.
     """
-    norm = np.outer(times, np.abs(b).sum(axis=1).max(axis=1)).ravel()   # |B t|_1
-    s = np.maximum(np.frexp(norm / _THETA)[1], 0)   # |B t|_1 / _THETA < 2^s
+    s = expm_squarings(b, times)
     order = np.argsort(s, kind="stable")
     s = s[order]
     ti, node = np.divmod(order, b.shape[0])

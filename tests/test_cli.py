@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlab import cli, dynamics, fullline
+from tlab import cli, dynamics, fullline, model
 from tlab.cli import K3_SCAN, main
 from tlab.envelope import envelope_cell
 from tlab.lyapunov import LAMBDA_CAP
@@ -143,7 +143,7 @@ class TestExitCodes:
 
     def test_simulate_mode_roundoff_is_exit_three(self, stable_config, tmp_path, capsys):
         """At xi = 1e4 the energy rise sits inside expm's roundoff bound
-        eps |A t|_1: no verdict, and stderr names the estimate and tolerance."""
+        2^(s+1) u: no verdict, and stderr names the estimate and tolerance."""
         assert main(["simulate-mode", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--xi", "1e4"]) == 3
         err = capsys.readouterr().err
@@ -154,6 +154,39 @@ class TestExitCodes:
     def test_simulate_mode_large_xi_still_passes(self, stable_config, tmp_path):
         assert main(["simulate-mode", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--xi", "1e3"]) == 0
+
+    @pytest.mark.parametrize("name", ["tau1-type3-first", "tau1-type3-zero"])
+    @pytest.mark.parametrize("xi, code", [("1e4", 3), ("1e3", 0)])
+    def test_simulate_mode_verdict_does_not_depend_on_theta(self, name, xi, code, tmp_path,
+                                                           monkeypatch):
+        """With expm's theta at 0.78 (a degree-16 Taylor kernel's) the
+        squarings, and with them the energy rise, grow; the bound is taken
+        from the same squarings, so the verdicts stay the default kernel's.
+        Against eps |A t|_1, tau1-type3-zero rose to 1.03 of the bound at
+        xi = 1e4 and exited 1."""
+        monkeypatch.setattr(model, "_THETA", 0.78)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text(standard_suite()[name]))
+        assert main(["simulate-mode", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--xi", xi]) == code
+
+    def test_eigensolver_failure_in_one_chunk_is_exit_three(self, stable_config, tmp_path,
+                                                            monkeypatch, capsys):
+        """A LAPACK failure in one chunk of a split eig names no verdict."""
+        real_eig = np.linalg.eig
+
+        def failing(b):
+            if b.shape[0] < dynamics.default_xi_grid().size:
+                raise np.linalg.LinAlgError("injected")
+            return real_eig(b)
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        monkeypatch.setattr(dynamics, "_CPUS", 2)
+        monkeypatch.setattr(dynamics, "EIG_CHUNK_MIN", 1)
+        assert main(["spectrum-scan", "--config", str(stable_config),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: eigensolver failed on the xi grid: injected\n")
 
     def test_simulate_mode_growth_is_exit_one(self, stable_config, tmp_path, monkeypatch):
         """A generator with a growing mode raises the energy far above roundoff.

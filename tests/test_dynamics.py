@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,17 +8,21 @@ import scipy.linalg
 import scipy.optimize
 
 import oracles
+from tlab import dynamics, fullline
 from tlab.dynamics import (
     CaseMismatchError, EigensolverError, NoImaginaryEigenvalueError,
     characteristic_det_chi0, default_xi_grid, nondecay_witness, propagate,
     spectra, spectrum,
 )
+from tlab.forms import V
 from tlab.model import (
     Tau, assemble_generator, generator_batch, parse_config_text, real_generator_batch,
 )
 from tlab.suite import standard_suite, unstable_reference
 
-from conftest import SCAN_ROUNDOFF, random_config, random_state, scan_roundoff_config
+from conftest import (
+    SCAN_ROUNDOFF, covering_configs, random_config, random_state, scan_roundoff_config,
+)
 
 
 class TestPropagate:
@@ -293,3 +299,112 @@ class TestNondecayWitness:
     def test_stable_config_has_no_witness(self, name):
         with pytest.raises(NoImaginaryEigenvalueError):
             nondecay_witness(standard_suite()[name], xi=1.0, t_final=10.0)
+
+
+def _split_cells() -> list:
+    return [*standard_suite().values(), *covering_configs(np.random.default_rng(29), 1)]
+
+
+class TestSplitEigen:
+    """eigen_batch splits a large stack into one chunk per usable CPU; each
+    matrix stays its own LAPACK call, so every result is bitwise the
+    single call's."""
+
+    def _run(self, monkeypatch, cpus, floor, fn):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_CPUS", cpus)
+            m.setattr(dynamics, "EIG_CHUNK_MIN", floor)
+            return fn()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_kernel_and_spectra_do_not_depend_on_the_split(self, cpus, monkeypatch):
+        grid = default_xi_grid()
+        for cfg in _split_cells():
+            def kernel():
+                return [*dynamics.eigen_batch(cfg, grid), spectra(cfg, grid)]
+            one = self._run(monkeypatch, 1, dynamics.EIG_CHUNK_MIN, kernel)
+            split = self._run(monkeypatch, cpus, 1, kernel)
+            for a, b in zip(one, split):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), cfg
+
+    def test_norms_do_not_depend_on_the_split(self, monkeypatch):
+        """Values, errors and the node, eig and Levin counts, on a grid whose
+        panels take both the expm and the eigen route."""
+        datum = fullline.InitialDatum.component(V, fullline.Gaussian(1.0, 1.0))
+        times = [0.0, 1.0, 10.0, 100.0]
+        for cfg in _split_cells():
+            def norms():
+                return fullline.solution_norms_sq(cfg, datum, times, 0)
+            one = self._run(monkeypatch, 1, dynamics.EIG_CHUNK_MIN, norms)
+            split = self._run(monkeypatch, 2, 1, norms)
+            assert one.eig > 0, cfg
+            assert one.values.tobytes() == split.values.tobytes(), cfg
+            assert one.errors.tobytes() == split.errors.tobytes(), cfg
+            assert (one.nodes, one.eig, one.levin) == (split.nodes, split.eig, split.levin), cfg
+
+    def test_failure_in_one_chunk_is_an_eigensolver_error(self, monkeypatch):
+        cfg = standard_suite()["tau2-type3-first"]
+        grid = default_xi_grid()
+        target = dynamics.energy_generator_batch(cfg, grid[-1:])[0]
+        real_eig, calls = np.linalg.eig, []
+
+        def failing(b):
+            calls.append(b.shape[0])
+            if any(np.array_equal(m, target) for m in b):
+                raise np.linalg.LinAlgError("injected")
+            return real_eig(b)
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_CPUS", 2)
+            m.setattr(dynamics, "EIG_CHUNK_MIN", 1)
+            with pytest.raises(EigensolverError, match="injected"):
+                spectra(cfg, grid)
+        assert sorted(calls) == [grid.size // 2, grid.size - grid.size // 2]
+
+    @pytest.mark.parametrize("cpus, n", [(1, 802), (2, 2 * dynamics.EIG_CHUNK_MIN - 1)])
+    def test_no_thread_without_a_split(self, cpus, n, monkeypatch):
+        """One usable CPU, or a stack under the floor: one call, no pool."""
+        monkeypatch.setattr(dynamics, "_POOL", None)
+        monkeypatch.setattr(dynamics, "_CPUS", cpus)
+        before = threading.active_count()
+        spectra(standard_suite()["tau1-type3-first"], np.geomspace(1e-2, 1e2, n))
+        assert dynamics._POOL is None
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        """More calling threads than cores, with a short switch interval: the
+        pool is built once and every caller gets the single call's result."""
+        cfg = standard_suite()["tau3-type3-zero"]
+        grid = default_xi_grid()
+        want = self._run(monkeypatch, 1, dynamics.EIG_CHUNK_MIN, lambda: spectra(cfg, grid))
+        monkeypatch.setattr(dynamics, "_POOL", None)
+        monkeypatch.setattr(dynamics, "_CPUS", 2)
+        monkeypatch.setattr(dynamics, "EIG_CHUNK_MIN", 1)
+        built, pool = [], dynamics.concurrent.futures.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.concurrent.futures, "ThreadPoolExecutor", counted)
+        results = [None] * 8
+
+        def call(k):
+            results[k] = spectra(cfg, grid)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if dynamics._POOL is not None:
+                dynamics._POOL.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert built == [1]
+        assert all(r is not None and r.tobytes() == want.tobytes() for r in results)

@@ -241,6 +241,24 @@ def test_one_eig_call():
     assert calls == ["dynamics.py"]
 
 
+def test_only_dynamics_imports_threads():
+    """dynamics.eigen_batch's pool is the package's one: no other module of
+    tlab imports concurrent.futures or threading, in any form."""
+    importers = set()
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            if any(n == m or n.startswith(m + ".")
+                   for n in names for m in ("threading", "concurrent.futures")):
+                importers.add(path.name)
+    assert importers == {"dynamics.py"}
+
+
 def test_no_module_imports_scipy_linalg():
     """model.expm is the package's only matrix exponential: no module of
     tlab imports scipy.linalg, in any form."""
