@@ -5,10 +5,10 @@ decay, report and suite.  Each reads one --config, except suite, which takes
 none: it runs over the standard suite and writes each cell's config.  Exit
 codes: 0 pass, 1 verification failure (a named criterion did not hold), 2
 usage or configuration error, 3 numerical failure (quadrature, eigensolver
-or certificate search could not reach its tolerance, or a check's margin
-lies below roundoff, so no verdict was reached).  Outputs are
-deterministic: a fixed command line (config + flags + seed) yields
-byte-identical CSV/JSON artifacts.
+or certificate search could not reach its tolerance, a check's margin lies
+below roundoff, or a computed quantity is not finite, so no verdict was
+reached).  Outputs are deterministic: a fixed command line (config + flags +
+seed) yields byte-identical CSV/JSON artifacts.
 """
 
 from __future__ import annotations
@@ -73,18 +73,27 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
     RoundoffError says so.  model.expm squares its Taylor block s times, and
     each squaring doubles the error it inherits and adds u, so the state at
     time t carries a relative error of about 2^(s+1) u, s from
-    model.expm_squarings of the real generator at t.
+    model.expm_squarings of the real generator at t.  An energy that is not
+    finite (the generator or its exponential overflowed) decides nothing:
+    FloatingPointError names xi and the first such time, and no artifact is
+    written.
     """
     rng = np.random.default_rng(args.seed)
     xi = args.xi
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     vec /= np.linalg.norm(vec)
     times = np.linspace(0.0, 50.0, args.times)
-    states = dynamics.propagate(cfg, xi, vec, times)
-    conj = states.conj()[:, None, :]
-    norms = np.sqrt(np.real(conj @ states[:, :, None]))[:, 0, 0]
-    h = model.hermitian_energy(cfg).matrix
-    energies = np.real(conj @ (h @ states[:, :, None]))[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite energy fails below
+        states = dynamics.propagate(cfg, xi, vec, times)
+        conj = states.conj()[:, None, :]
+        norms = np.sqrt(np.real(conj @ states[:, :, None]))[:, 0, 0]
+        h = model.hermitian_energy(cfg).matrix
+        energies = np.real(conj @ (h @ states[:, :, None]))[:, 0, 0]
+    finite = np.isfinite(energies)
+    if not finite.all():
+        raise FloatingPointError(
+            f"energy dissipation at xi={xi}: the mode energy is not finite at "
+            f"t={times[np.argmin(finite)]:.6g} (the propagation overflowed)")
     _write_csv(out / "mode.csv", "t,norm,energy", np.column_stack([times, norms, energies]))
     monotone = bool(np.all(energies[1:] <= energies[:-1] * (1 + 1e-10)))
     summary = {"xi": xi, "initial_energy": float(energies[0]),
@@ -321,7 +330,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (fullline.QuadratureError, dynamics.EigensolverError,
-            lyapunov.CertificateSearchError, RoundoffError) as exc:
+            lyapunov.CertificateSearchError, RoundoffError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (model.ConfigError, ValueError) as exc:

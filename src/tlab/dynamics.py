@@ -204,7 +204,13 @@ def default_xi_grid(
     per_decade: int = 200,
     include_zero: bool = True,
 ) -> np.ndarray:
-    """Log-spaced grid, `per_decade` points per decade of [xi_min, xi_max]."""
+    """Log-spaced grid, `per_decade` points per decade of [xi_min, xi_max].
+
+    ValueError unless both bounds are finite and 0 < xi_min < xi_max.
+    """
+    for name, bound in (("xi_min", xi_min), ("xi_max", xi_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound!r}")
     if not (0 < xi_min < xi_max):
         raise ValueError("need 0 < xi_min < xi_max")
     decades = math.log10(xi_max) - math.log10(xi_min)

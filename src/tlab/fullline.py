@@ -375,14 +375,22 @@ class _Nodes:
 
 @dataclass(frozen=True)
 class _Eigen:
-    """B(xi) = V diag(w) V^-1 at a batch of nodes, with y0 = S^-1 uhat0 and c = V^-1 y0."""
+    """B(xi) = V diag(w) V^-1 at a batch of nodes xi of cfg, with y0 = S^-1 uhat0 and
+    c = V^-1 y0."""
 
-    b: np.ndarray
+    cfg: SystemConfig
+    xi: np.ndarray
     y0: np.ndarray
     w: np.ndarray
     v: np.ndarray
     c: np.ndarray
     ok: np.ndarray   # passed the guards; the other nodes are propagated by expm
+
+    def b(self, rows: np.ndarray) -> np.ndarray:
+        """The real B at the given nodes.  Only the guard-failing nodes (expm)
+        and the split ones (dynamics.backward_ok) read it, so it is built
+        there alone; each row depends on its own xi only."""
+        return real_generator_batch(self.cfg, self.xi[rows])
 
 
 def _breakpoints(cutoff: float, times: np.ndarray) -> np.ndarray:
@@ -429,7 +437,7 @@ def _eigen(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray) -> _Eigen:
     yt = energy_sqrt(cfg) * y0
     c = np.einsum("nij,nj->ni", vinv, yt)
     c += np.einsum("nij,nj->ni", vinv, yt - np.einsum("nij,nj->ni", v, c))
-    return _Eigen(real_generator_batch(cfg, xi), y0, w, v / energy_sqrt(cfg)[:, None], c, ok)
+    return _Eigen(cfg, xi, y0, w, v / energy_sqrt(cfg)[:, None], c, ok)
 
 
 def _propagated_norms_sq(b: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -454,7 +462,7 @@ def _mode_norms_sq(e: _Eigen, times: np.ndarray) -> np.ndarray:
     out = np.sum(y.real ** 2 + y.imag ** 2, axis=2)
     bad = np.flatnonzero(~e.ok)
     if bad.size:
-        out[bad] = _propagated_norms_sq(e.b[bad], e.y0[bad], times)
+        out[bad] = _propagated_norms_sq(e.b(bad), e.y0[bad], times)
     return out
 
 
@@ -471,125 +479,232 @@ def _amplitudes(e: _Eigen, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _levin(s: np.ndarray, ds: np.ndarray, a: np.ndarray, t: np.ndarray, stride: int,
-           half: float) -> np.ndarray:
+           half: float | np.ndarray) -> np.ndarray:
     """int_lo^hi a(x) e^{t s(x)} dx for each column, by Levin collocation.
 
     s, its derivative ds = d/dX s in the panel coordinate X in [-1, 1], and
     a hold each column's exponent and amplitude on the panel nodes
-    _CC_X[::stride] (hi first; stride 4 or 8); t holds each column's time.
+    _CC_X[::stride] (hi first; stride 4 or 8); t holds each column's time
+    and half its panel's half-width (one for all columns, or one each).
     The non-oscillating p with (p e^{ts})' = a e^{ts} solves
     (D + t diag(ds)) p = half a at the nodes, D the Chebyshev
     differentiation matrix; the integral is then p e^{ts} at hi minus at lo.
     It is exact when a is a polynomial of degree below the node count and s
-    is linear in X.
+    is linear in X.  Every column is its own system in one stacked solve.
     """
     d = _CC_D[stride]
     mat = np.repeat(d[None].astype(complex), t.size, axis=0)
     diag = np.arange(d.shape[0])
     mat[:, diag, diag] += (t * ds).T
-    p = np.linalg.solve(mat, half * a.T[..., None])[..., 0]
+    p = np.linalg.solve(mat, (half * a).T[..., None])[..., 0]
     return p[:, 0] * np.exp(t * s[0]) - p[:, -1] * np.exp(t * s[-1])
 
 
-def _levin_terms(w: np.ndarray, stride: int, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The terms of a panel that Levin integrates, one per (term class, time).
+_NO_TERMS = tuple(np.zeros(0, dtype=int) for _ in range(6))
 
-    w holds the branches at the panel's nodes, sorted by (Im, Re).  A class
-    qualifies at a time when its phase t Im s turns by more than LEVIN_TURN
-    across the panel and Im s' keeps one sign on the Levin nodes (no
-    stationary point), while both its branches stay clear of every other
-    branch (the gap, over its rate of change across the panel, is at least
-    LEVIN_GAP half-widths) and keep, over the whole panel, the conjugate
-    _term_classes gives them at its first node (a pair of real eigenvalues
-    may turn complex inside a panel).  Returns, per term, its branches k, l
-    (exponent conj(w_k) + w_l), its pair index and its dual pair index into
-    _PAIR_K, _PAIR_L (-1 for none), and its time index.
+
+def _levin_terms(w: Sequence[np.ndarray], stride: np.ndarray,
+                 times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms that Levin integrates on a list of panels, one per (panel,
+    term class, time).
+
+    w[i] holds the branches at panel i's nodes, sorted by (Im, Re), on the
+    rule of stride[i].  A class qualifies at a time when its phase t Im s
+    turns by more than LEVIN_TURN across the panel and Im s' keeps one sign
+    on the Levin nodes (no stationary point), while both its branches stay
+    clear of every other branch (the gap, over its rate of change across
+    the panel, is at least LEVIN_GAP half-widths) and keep, over the whole
+    panel, the conjugate _term_classes gives them at its first node (a pair
+    of real eigenvalues may turn complex inside a panel).  The panels are
+    screened together, stacked by their node count and their count of real
+    eigenvalues at the first node, which fix the term classes.  Returns, per
+    term, its panel, its branches k, l (exponent conj(w_k) + w_l), its pair
+    index and its dual pair index into _PAIR_K, _PAIR_L (-1 for none), and
+    its time index, ordered by panel and within a panel by class and time.
     """
-    partner, reps, duals = _TERM_CLASSES[int(np.count_nonzero(w[0].imag == 0.0))]
-    k, l = _PAIR_K[reps], _PAIR_L[reps]
-    dw = _CC_D[4] @ w[::4 // stride]                 # d/dX on the Levin nodes
-    gap = np.abs(w[:, :, None] - w[:, None, :]).min(axis=0)
-    np.fill_diagonal(gap, np.inf)
-    slope = np.abs(dw[:, :, None] - dw[:, None, :]).max(axis=0)
-    clear = (np.all(gap >= LEVIN_GAP * slope, axis=1)
-             & np.all(w[:, partner] == w.conj(), axis=0))
-    clear &= clear[partner]
-    ds = dw.imag[:, l] - dw.imag[:, k]
-    ok = clear[k] & clear[l] & (np.all(ds > 0.0, axis=0) | np.all(ds < 0.0, axis=0))
-    turn = np.ptp(w.imag[:, l] - w.imag[:, k], axis=0)
-    term, ti = np.nonzero(ok[:, None] & (turn[:, None] * times[None, :] > LEVIN_TURN))
-    return k[term], l[term], reps[term], duals[term], ti
+    if not len(w):
+        return _NO_TERMS
+    n_real = np.count_nonzero(np.array([x[0] for x in w]).imag == 0.0, axis=1)
+    found = []
+    for s, n in sorted(set(zip(stride.tolist(), n_real.tolist()))):
+        at = np.flatnonzero((stride == s) & (n_real == n))
+        ws = np.array([w[i] for i in at])
+        partner, reps, duals = _TERM_CLASSES[n]
+        k, l = _PAIR_K[reps], _PAIR_L[reps]
+        dw = _CC_D[4] @ ws[:, ::4 // s]                   # d/dX on the Levin nodes
+        # per pair of branches, both orders alike
+        gap = np.abs(ws[:, :, _PAIR_K] - ws[:, :, _PAIR_L]).min(axis=1)
+        slope = np.abs(dw[:, :, _PAIR_K] - dw[:, :, _PAIR_L]).max(axis=1)
+        near = np.zeros((at.size, DIM, DIM), dtype=bool)
+        near[:, _PAIR_K, _PAIR_L] = ~(gap >= LEVIN_GAP * slope)
+        clear = (~(near.any(axis=1) | near.any(axis=2))
+                 & np.all(ws[:, :, partner] == ws.conj(), axis=1))
+        clear &= clear[:, partner]
+        ds = dw.imag[:, :, l] - dw.imag[:, :, k]
+        ok = clear[:, k] & clear[:, l] & (np.all(ds > 0.0, axis=1) | np.all(ds < 0.0, axis=1))
+        turn = np.ptp(ws.imag[:, :, l] - ws.imag[:, :, k], axis=1)
+        panel, term, ti = np.nonzero(ok[:, :, None] & (turn[:, :, None] * times > LEVIN_TURN))
+        found.append((at[panel], k[term], l[term], reps[term], duals[term], ti))
+    found = [np.concatenate(x) for x in zip(*found)]
+    order = np.argsort(found[0], kind="stable")
+    return tuple(x[order] for x in found)
 
 
-def _panel_integral(nodes: _Nodes, stride: int, half: float, times: np.ndarray,
-                    tol: np.ndarray, terms: tuple[np.ndarray, ...] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, _Nodes, int]:
-    """One panel's integral and error estimate per time.
+def _split_terms(nodes: list[_Nodes], stride: np.ndarray, times: np.ndarray,
+                 terms: tuple[np.ndarray, ...] | None) -> tuple[np.ndarray, ...]:
+    """The Levin terms of a batch's panels that hold a modal split, ordered by
+    panel: those `terms` holds for them (found by _eigen_nodes on new
+    panels), and _levin_terms of the others (refined panels, whose terms
+    are screened again on their new nodes)."""
+    split = [part.w is not None for part in nodes]
+    if not any(split):
+        return _NO_TERMS
+    split = np.array(split)
+    terms = _NO_TERMS if terms is None else terms
+    searched = np.zeros(split.size, dtype=bool)
+    searched[terms[0]] = True
+    missing = np.flatnonzero(split & ~searched)
+    if missing.size:
+        found = _levin_terms([nodes[i].w for i in missing], stride[missing], times)
+        terms = [np.concatenate(x) for x in zip(terms, (missing[found[0]],) + found[1:])]
+    order = np.argsort(terms[0], kind="stable")
+    order = order[split[terms[0][order]]]
+    return tuple(x[order] for x in terms)
 
-    The Levin terms (_levin_terms of the nodes' branches, or `terms` when
-    the caller has them already) are integrated on the panel's 33 nodes,
-    with Levin on its 17 nodes as their error estimate; the rest, the
-    integrand minus those terms at the nodes, goes to the panel's
+
+def _abs_rule(cand: np.ndarray, row: np.ndarray, stride: int) -> np.ndarray:
+    """The rule of the given stride over the nodes of |cand|, one sum per row:
+    cand holds the terms of several panels on their nodes, one term per
+    row, ordered by panel (row gives the panel's place).
+
+    BLAS sums a column of a matrix-vector product differently by its place
+    among the columns, so each panel's terms, transposed, go to a product of
+    the shape and layout they have alone: panels with as many terms share
+    one stacked product, and the sums are bitwise those of panels taken one
+    at a time."""
+    size = np.bincount(row)
+    first = np.cumsum(size) - size
+    out = np.empty(row.size)
+    for m in np.unique(size):
+        of = (first[size == m][:, None] + np.arange(m)).ravel()
+        block = np.abs(cand[of]).reshape(-1, m, cand.shape[1]).transpose(0, 2, 1)
+        out[of] = (_CC_W[stride] @ block).ravel()
+    return out
+
+
+def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
+                    times: np.ndarray, tol: np.ndarray,
+                    terms: tuple[np.ndarray, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, list[_Nodes], int]:
+    """The integrals and error estimates of a batch of panels, shape (panels, times).
+
+    Panel i has the nodes nodes[i] on the rule of stride[i] and the
+    half-width half[i].  On a panel with a modal split, the Levin terms
+    (those `terms` holds for it, as _levin_terms returns them by panel
+    index, else _levin_terms of its branches) are integrated on its 33
+    nodes, with Levin on its 17 nodes as their error estimate; the rest,
+    the integrand minus those terms at the nodes, goes to the panel's
     Clenshaw-Curtis rule, checked against the rule of twice its stride.  A
     term's mass is twice its L1 mass on the panel (what aliasing could
     hide).  At each time the lightest terms whose summed mass stays within
     LEVIN_NEGLIGIBLE of the tolerance tol stay on the rule, and their mass
     is added to its estimate.  The nodes' held Levin results are reused and
-    only the missing ones solved.  Returns the integral, the estimate, the
-    nodes with every Levin result they now hold, and the number of Levin
-    systems solved.
-    """
-    f = nodes.f
-    val = half * (_CC_W[stride] @ f)
-    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2]))
-    if nodes.w is None:
-        return val, err, nodes, 0
-    k, l, pair, dual, ti = _levin_terms(nodes.w, stride, times) if terms is None else terms
-    if not ti.size:
-        return val, err, nodes, 0
-    t, w = times[ti], nodes.w
-    a = nodes.amp[:, pair] + np.where(dual >= 0, nodes.amp[:, dual], 0.0)
-    terms = 2.0 * a * np.exp(t * (w[:, k].conj() + w[:, l]))
-    mass = np.zeros((_PAIR_K.size, times.size))
-    mass[pair, ti] = 2.0 * half * (_CC_W[stride] @ np.abs(terms))
-    # per time, the lightest terms whose summed mass stays within LEVIN_NEGLIGIBLE tol
-    order = np.argsort(mass, axis=0, kind="stable")
-    light = np.empty(mass.shape, dtype=bool)
-    np.put_along_axis(light, order, np.take_along_axis(mass, order, axis=0).cumsum(axis=0)
-                      <= LEVIN_NEGLIGIBLE * tol, axis=0)
-    hidden = np.where(light, mass, 0.0).sum(axis=0)
-    use = ~light[pair, ti]
-    if not use.any():
-        return val, err + hidden, nodes, 0
-    k, l, pair, a, t, ti = k[use], l[use], pair[use], a[:, use], t[use], ti[use]
-    f = f.copy()
-    np.subtract.at(f.T, ti, terms[:, use].real.T)
+    only the missing ones solved.
 
-    held = (np.full((2, _PAIR_K.size, times.size), np.nan, dtype=complex)
-            if nodes.levin is None else nodes.levin)
-    new = np.isnan(held[0, pair, ti])
-    if new.any():
+    The panels go through one stacked pass per node count: their rule sums,
+    their candidate terms and masses, their light terms per (panel, time)
+    and the lookup of their held results.  The new Levin systems of every
+    node count then go to one stacked solve per Levin rule.  Each panel
+    keeps its own rule sums (_abs_rule for the masses) and each system its
+    own LAPACK call, so the grouping does not change the results.  Returns
+    the integrals, the estimates, the nodes with every Levin result they now
+    hold, and the number of Levin systems solved.
+    """
+    count, nodes = len(nodes), list(nodes)
+    terms = _split_terms(nodes, stride, times, terms)
+    if terms[0].size:
+        held = np.full((count, 2, _PAIR_K.size, times.size), np.nan, dtype=complex)
+        for i in np.unique(terms[0]):
+            if nodes[i].levin is not None:
+                held[i] = nodes[i].levin
+    used = []                   # (panel, pair, time index) of the terms on Levin
+    fresh = []                  # the same for the terms not solved yet, with their time
+    inputs = {4: [], 8: []}     # ... and their (s, ds, a) on the 33 and on the 17 Levin nodes
+    sums = []                   # per node count: its panels, integrals and estimates
+    strides = sorted(set(stride.tolist()))
+    for s in strides:
+        # most batches hold one node count, which a slice selects
+        members = range(count) if len(strides) == 1 else np.flatnonzero(stride == s)
+        group = slice(None) if len(strides) == 1 else members
+        f = np.array([nodes[i].f for i in members])
+        hidden = None
+        mine = np.flatnonzero(stride[terms[0]] == s) if terms[0].size else []
+        if len(mine):
+            panel, k, l, pair, dual, ti = (x[mine] for x in terms)
+            owners = np.unique(panel)
+            row = np.searchsorted(owners, panel)
+            w = np.array([nodes[i].w for i in owners])
+            amp = np.array([nodes[i].amp for i in owners])
+            t = times[ti]
+            # one row per term, ordered by panel, as _abs_rule takes them
+            a = amp[row, :, pair] + np.where((dual >= 0)[:, None], amp[row, :, dual], 0.0)
+            cand = 2.0 * a * np.exp(t[:, None] * (w[row, :, k].conj() + w[row, :, l]))
+            masses = np.zeros((owners.size, _PAIR_K.size, times.size))
+            masses[row, pair, ti] = (2.0 * half[panel]) * _abs_rule(cand, row, s)
+            # per (panel, time), the lightest terms whose summed mass stays within
+            # LEVIN_NEGLIGIBLE tol
+            by_mass = np.argsort(masses, axis=1, kind="stable")
+            light = np.empty(masses.shape, dtype=bool)
+            np.put_along_axis(light, by_mass, np.take_along_axis(masses, by_mass, axis=1)
+                              .cumsum(axis=1) <= LEVIN_NEGLIGIBLE * tol, axis=1)
+            hidden = np.zeros((len(members), times.size))
+            hidden[np.searchsorted(members, owners)] = np.where(light, masses, 0.0).sum(axis=1)
+            use = ~light[row, pair, ti]
+            np.subtract.at(f.transpose(0, 2, 1), (np.searchsorted(members, panel[use]), ti[use]),
+                           cand[use].real)
+            used.append((panel[use], pair[use], ti[use]))
+            new = use & np.isnan(held[panel, 0, pair, ti])
+            fresh.append((panel[new], pair[new], ti[new], t[new]))
+            if new.any():
+                row, k, l, a = row[new], k[new], l[new], a[new]
+                for r, rule in inputs.items():
+                    ws = w[:, ::r // s]
+                    dw = _CC_D[r] @ ws
+                    rule.append((ws[row, :, k].conj() + ws[row, :, l],
+                                 dw[row, :, k].conj() + dw[row, :, l], a[:, ::r // s]))
+        h = half[group, None]
+        val = h * (_CC_W[s] @ f)
+        err = np.abs(val - h * (_CC_W[2 * s] @ f[:, ::2]))
+        if hidden is not None:
+            err += hidden
+        sums.append((group, val, err))
+    if len(sums) == 1:
+        vals, errs = sums[0][1:]
+    else:
+        vals, errs = np.empty((count, times.size)), np.empty((count, times.size))
+        for group, val, err in sums:
+            vals[group], errs[group] = val, err
+    if not used:
+        return vals, errs, nodes, 0
+    panel, pair, ti, t = (np.concatenate(x) for x in zip(*fresh))
+    if ti.size:
         # every rung reads the same 33 Levin nodes, so a held result is
         # bitwise what solving again would give
-        kn, ln, an = k[new], l[new], a[:, new]
-
-        def rule(s: int) -> np.ndarray:
-            ws = w[::s // stride]
-            dw = _CC_D[s] @ ws
-            return _levin(ws[:, kn].conj() + ws[:, ln], dw[:, kn].conj() + dw[:, ln],
-                          an[::s // stride], t[new], s, half)
-
-        held = held.copy()
-        held[:, pair[new], ti[new]] = rule(4), rule(8)
-        nodes = replace(nodes, levin=held)
-    fine, coarse = held[:, pair, ti]
-    levin = np.zeros(times.size)
-    levin_err = np.zeros(times.size)
-    np.add.at(levin, ti, 2.0 * fine.real)
-    np.add.at(levin_err, ti, 2.0 * np.abs(fine - coarse))
-    val = half * (_CC_W[stride] @ f)
-    err = np.abs(val - half * (_CC_W[2 * stride] @ f[::2])) + hidden
-    return val + levin, err + levin_err, nodes, 2 * int(np.count_nonzero(new))
+        held.transpose(1, 0, 2, 3)[:, panel, pair, ti] = [
+            _levin(*(np.concatenate(x).T for x in zip(*rule)), t, r, half[panel])
+            for r, rule in inputs.items()]
+        for i in np.unique(panel):
+            nodes[i] = replace(nodes[i], levin=held[i])
+    panel, pair, ti = (np.concatenate(x) for x in zip(*used))
+    fine, coarse = held.transpose(1, 0, 2, 3)[:, panel, pair, ti]
+    levin = np.zeros((count, times.size))
+    levin_err = np.zeros((count, times.size))
+    np.add.at(levin, (panel, ti), 2.0 * fine.real)
+    np.add.at(levin_err, (panel, ti), 2.0 * np.abs(fine - coarse))
+    panel = np.unique(panel)
+    vals[panel] += levin[panel]
+    errs[panel] += levin_err[panel]
+    return vals, errs, nodes, 2 * t.size
 
 
 def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -647,15 +762,16 @@ def _batches(fresh: list[np.ndarray], route: np.ndarray, n_times: int):
 
 def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: np.ndarray,
                  spans: list[slice], held: list[_Nodes | None], stride: np.ndarray,
-                 times: np.ndarray) -> tuple[list[_Nodes], list]:
+                 times: np.ndarray) -> tuple[list[_Nodes], tuple[np.ndarray, ...]]:
     """The integrand at a batch of panels' new nodes (spans) by _eigen.
 
     A new panel takes the modal split when _levin_terms finds a term for it;
     a refined panel keeps the split it had.  Either way the split needs
     every node of the panel on the eigen path, and its nodes then pass
-    dynamics.backward_ok too, on the pairs of B.  Returns each panel's nodes, with the split
-    where it has one, and each new panel's Levin terms (None where
-    _levin_terms did not run).
+    dynamics.backward_ok too, on the pairs of B.  The new panels' Levin
+    terms are found in one _levin_terms call.  Returns each panel's nodes,
+    with the split where it has one, and the Levin terms found, by panel
+    index into spans.
     """
     e = _eigen(cfg, xi, uhat0)
     order = np.lexsort((e.w.real, e.w.imag))
@@ -663,21 +779,19 @@ def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: n
     # twice the widest swing of one branch's Im bounds every term's turn
     starts = [rows.start for rows in spans]
     swing = (np.maximum.reduceat(w.imag, starts) - np.minimum.reduceat(w.imag, starts)).max(axis=1)
-    split = np.zeros(xi.size, dtype=bool)
-    terms: list = [None] * len(spans)
-    for i, rows in enumerate(spans):
-        if not e.ok[rows].all():
-            continue
-        if held[i] is not None:
-            split[rows] = held[i].w is not None
-        elif 2.0 * swing[i] * times.max() > LEVIN_TURN:
-            terms[i] = _levin_terms(w[rows], stride[i], times)
-            split[rows] = terms[i][-1].size > 0
+    on_path = np.logical_and.reduceat(e.ok, starts)
+    split = on_path & np.array([h is not None and h.w is not None for h in held], dtype=bool)
+    search = np.flatnonzero(on_path & np.array([h is None for h in held], dtype=bool)
+                            & (2.0 * swing * times.max() > LEVIN_TURN))
+    terms = _levin_terms([w[spans[i]] for i in search], stride[search], times)
+    terms = (search[terms[0]],) + terms[1:]
+    split[terms[0]] = True
+    split = np.repeat(split, [rows.stop - rows.start for rows in spans])
     rows = np.flatnonzero(split)
     amp = np.zeros((xi.size, _PAIR_K.size), dtype=complex)
     if rows.size:
         ok = e.ok.copy()
-        ok[rows] &= _dynamics.backward_ok(e.b[rows], e.w[rows], e.v[rows])[0].all(axis=1)
+        ok[rows] &= _dynamics.backward_ok(e.b(rows), e.w[rows], e.v[rows])[0].all(axis=1)
         e = replace(e, ok=ok)
         amp[rows] = _amplitudes(e, rows, order[rows]) * weight[rows]
     f = _mode_norms_sq(e, times) * weight
@@ -703,9 +817,11 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     Panels of one route are evaluated together while their new nodes times
     the number of times stay within 129 x 32, which bounds the working
     memory, and on the expm route while their new nodes stay within
-    EXPM_BATCH_NODES, which keeps its stacks in cache.  Each node's
-    eigendecomposition (dynamics.eigen_batch) is its own LAPACK call and
-    each node's exponential its own scaling, so the batching does not
+    EXPM_BATCH_NODES, which keeps its stacks in cache.  The panels of a
+    batch are then integrated together by one _panel_integral call.  Each
+    node's eigendecomposition (dynamics.eigen_batch) is its own LAPACK call,
+    each node's exponential its own scaling, each panel's rule sum its own
+    product and each Levin system its own solve, so the batching does not
     change the results.  Also returns each panel's nodes while it is below
     129 points (None otherwise), the numbers of nodes evaluated and of those
     that were eigendecomposed, and the number of Levin systems solved.
@@ -726,16 +842,17 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
         if route[batch[0]]:
             f = _propagated_norms_sq(real_generator_batch(cfg, xi), uhat0 / real_similarity(cfg),
                                      times) * weight
-            parts, terms = [_Nodes(f[rows]) for rows in spans], [None] * len(spans)
+            parts, terms = [_Nodes(f[rows]) for rows in spans], None
         else:
             parts, terms = _eigen_nodes(cfg, xi, uhat0, weight, spans, [held[k] for k in batch],
                                         stride[batch], times)
             eig += xi.size
-        for k, part, found in zip(batch, parts, terms):
-            nodes = part if held[k] is None else held[k].interleave(part)
-            vals[k], errs[k], nodes, solved = _panel_integral(nodes, stride[k], half[k], times,
-                                                              tol, found)
-            levin += solved
+        parts = [part if held[k] is None else held[k].interleave(part)
+                 for k, part in zip(batch, parts)]
+        vals[batch], errs[batch], parts, solved = _panel_integral(parts, stride[batch],
+                                                                  half[batch], times, tol, terms)
+        levin += solved
+        for k, nodes in zip(batch, parts):
             kept[k] = nodes if stride[k] > 1 else None
     return vals, errs, kept, (sum(x.size for x in fresh), eig), levin
 
@@ -784,6 +901,9 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
     below which no later tolerance max(EPSABS |d^j U0|^2, EPSREL |value|)
     falls.  A panel holds its Levin results while it climbs the ladder
     (the rungs share the 33 Levin nodes), so no system is solved twice.
+    The panels of a batch (_panels) are integrated together, in stacked
+    passes per node count and one stacked solve per Levin rule, with the
+    results of panels taken one at a time, bit for bit.
     While some time's summed error estimate exceeds the tolerance, the panels
     with the largest estimates are refined: a panel below 129 points moves
     to the next nested rule (65, then 129 points), evaluating only the

@@ -151,6 +151,32 @@ class TestExitCodes:
         assert "1e-10 tolerance" in err and "roundoff bound" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand", ["spectrum-scan", "certify", "report", "suite"])
+    @pytest.mark.parametrize("flag,value", [("--xi-max", "inf"), ("--xi-min", "nan"),
+                                            ("--xi-max", "nan")])
+    def test_non_finite_xi_bound_is_usage_error(self, subcommand, flag, value, stable_config,
+                                                tmp_path, capsys):
+        """A non-finite bound of the xi grid names itself; --xi-max inf
+        overflowed in the grid's point count and exited 1 with a traceback."""
+        config = [] if subcommand == "suite" else ["--config", str(stable_config)]
+        assert main([subcommand, *config, "--out", str(tmp_path / "o"), flag, value]) == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("xi, t", [("1e200", "0"), ("1e20", "1.66667")])
+    def test_simulate_mode_overflow_is_exit_three(self, xi, t, stable_config, tmp_path, capsys):
+        """A generator or an exponential that overflows leaves energies that
+        are not finite: no verdict, stderr names xi and the first such time,
+        and no artifact is written.  This exited 2 with "max() arg is an
+        empty sequence"."""
+        out = tmp_path / "o"
+        assert main(["simulate-mode", "--config", str(stable_config), "--out", str(out),
+                     "--xi", xi]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: energy dissipation at xi={float(xi)}: the mode energy is "
+            f"not finite at t={t} (the propagation overflowed)\n")
+        assert not any(out.iterdir())
+
     def test_simulate_mode_large_xi_still_passes(self, stable_config, tmp_path):
         assert main(["simulate-mode", "--config", str(stable_config),
                      "--out", str(tmp_path / "o"), "--xi", "1e3"]) == 0

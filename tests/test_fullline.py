@@ -351,12 +351,30 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(np.linalg, "eig", mixed)
         e = fullline._eigen(cfg, xi, datum.fourier(xi).T)
-        assert np.abs(e.b[0] @ e.v[0] - e.v[0] * e.w[0]).max() <= 1e-15   # still an eigenbasis
+        assert np.abs(e.b([0])[0] @ e.v[0] - e.v[0] * e.w[0]).max() <= 1e-15   # still an eigenbasis
         assert e.ok.tolist() == [False, True, True]
         got = fullline._mode_norms_sq(e, times)[0]
         y = [scipy.linalg.expm(generator_batch(cfg, 0.0)[0] * t) @ datum.fourier(0.0)
              for t in times]
         np.testing.assert_allclose(got, [np.vdot(v, v).real for v in y], rtol=1e-12)
+
+    def test_generator_built_only_where_read(self, monkeypatch):
+        """The real B is built only at the nodes that read it: those of split
+        panels (dynamics.backward_ok) and the guard-failing ones (expm).  On
+        the first decay cell at default_times(7) that is 1,324 of its 2,227
+        eigendecomposed nodes; every node was built before."""
+        built, read = [], []
+        generator, backward, propagated = (fullline.real_generator_batch, dynamics.backward_ok,
+                                           fullline._propagated_norms_sq)
+        monkeypatch.setattr(fullline, "real_generator_batch",
+                            lambda cfg, xi: built.append(xi.size) or generator(cfg, xi))
+        monkeypatch.setattr(dynamics, "backward_ok",
+                            lambda b, w, v: read.append(len(b)) or backward(b, w, v))
+        monkeypatch.setattr(fullline, "_propagated_norms_sq",
+                            lambda b, y0, t: read.append(len(b)) or propagated(b, y0, t))
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        got = solution_norms_sq(standard_suite()["tau1-type3-first"], datum, default_times(7), 0)
+        assert sum(built) == sum(read) == 1_324 < got.eig == 2_227
 
     def test_series_matches_single_times(self):
         cfg = standard_suite()["tau3-type3-zero"]
@@ -668,6 +686,59 @@ class TestLevin:
                                    "tau3-frictional-zero", "tau2-frictional-zero"])
         assert len(set(seen)) == len(seen) == counted <= 750
 
+    def test_decay_cells_counts(self):
+        """The four cells of a long decay run, default datum, default_times(7):
+        nodes (all eigendecomposed) and Levin systems, as measured.  A change
+        that moves them on purpose updates them."""
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        want = {"tau1-type3-first": (2_227, 264), "tau2-type3-first-eq": (939, 206),
+                "tau3-frictional-zero": (1_133, 118), "tau2-frictional-zero": (811, 94)}
+        for name, (nodes, levin) in want.items():
+            got = solution_norms_sq(standard_suite()[name], datum, default_times(7), 0)
+            assert (got.nodes, got.eig, got.levin) == (nodes, nodes, levin), name
+
+    def test_stacked_panels_match_panels_alone(self, monkeypatch):
+        """Each batch's panels go through one stacked pass, with at most one
+        np.linalg.solve per Levin rule; with every panel in a batch of its
+        own, values, errors and counts are bitwise the same.  On the four
+        cells of a long decay run, the mixed datum at j = 1 on
+        tau1-frictional-zero, and a short-grid triple whose panels take both
+        routes."""
+        decay = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        short = InitialDatum(profiles=(Zero(), Gaussian(-1.832686, 1.064944), Zero(),
+                                       GaussianDerivative(1, 1.42619, 1.600607), Zero(), Zero(),
+                                       GaussianDerivative(2, -1.935562, 0.744721), Zero()))
+        cases = [(standard_suite()[name], decay, default_times(7), 0)
+                 for name in ["tau1-type3-first", "tau2-type3-first-eq",
+                              "tau3-frictional-zero", "tau2-frictional-zero"]]
+        cases += [(standard_suite()["tau1-frictional-zero"], _mixed_datum(), default_times(31), 1),
+                  (standard_suite()["tau2-frictional-first"], short, [0.0, 0.932625, 9.928731],
+                   1)]
+        batches, solve, sizes, solves = fullline._batches, np.linalg.solve, [], []
+
+        def counted(*args):
+            solves[-1] += 1
+            return solve(*args)
+
+        def watched(*args):
+            for batch in batches(*args):
+                sizes.append(batch.size)
+                solves.append(0)
+                yield batch
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(fullline, "_batches", watched)
+        stacked = [solution_norms_sq(*case) for case in cases]
+        assert max(solves) == 2 and max(sizes) > 1
+        assert stacked[-1].eig > 0 and stacked[-1].levin > 0
+        monkeypatch.setattr(fullline, "_batches", lambda *args: (
+            batch[i:i + 1] for batch in batches(*args) for i in range(batch.size)))
+        for case, got in zip(cases, stacked):
+            alone = solution_norms_sq(*case)
+            assert got.values.tobytes() == alone.values.tobytes(), case[0]
+            assert got.errors.tobytes() == alone.errors.tobytes(), case[0]
+            assert (got.nodes, got.eig, got.levin) == (alone.nodes, alone.eig, alone.levin)
+
     def test_held_results_are_exact(self):
         """A panel climbing from 33 to 65 points reuses the Levin results it
         holds, and its integral is bitwise the one it gets by solving every
@@ -680,11 +751,11 @@ class TestLevin:
         assert first[2][0].levin is not None and first[4] > 0
         vals, errs, kept, _, solved = fullline._panels(cfg, datum, times, 0, lo, hi,
                                                        np.array([2]), first[2], tol)
-        val, err, _, again = fullline._panel_integral(replace(kept[0], levin=None), 2, 1.0,
-                                                      times, tol)
+        val, err, _, again = fullline._panel_integral([replace(kept[0], levin=None)],
+                                                      np.array([2]), np.array([1.0]), times, tol)
         assert solved < again
-        np.testing.assert_array_equal(vals[0], val)
-        np.testing.assert_array_equal(errs[0], err)
+        np.testing.assert_array_equal(vals, val)
+        np.testing.assert_array_equal(errs, err)
 
     def test_dropped_mass_is_counted(self, monkeypatch):
         """tau3-frictional-zero on the panel [1, 2] at t = 100, with a
@@ -703,7 +774,7 @@ class TestLevin:
         first = fullline._panels(cfg, datum, times, 0, np.array([1.0]), np.array([2.0]),
                                  np.array([4]), [None], 0 * times)
         nodes = replace(first[2][0], levin=None)
-        k, l, pair, dual, ti = fullline._levin_terms(nodes.w, 4, times)
+        _, k, l, pair, dual, ti = fullline._levin_terms([nodes.w], np.array([4]), times)
         assert np.all(ti == 1) and ti.size > 6
         a = nodes.amp[:, pair] + np.where(dual >= 0, nodes.amp[:, dual], 0.0)
         terms = 2.0 * a * np.exp(100.0 * (nodes.w[:, k].conj() + nodes.w[:, l]))
@@ -719,11 +790,13 @@ class TestLevin:
             return levin(s, ds, a, t, stride, half)
 
         monkeypatch.setattr(fullline, "_levin", spy)
-        _, err, _, solved = fullline._panel_integral(nodes, 4, half, times, tol)
+        _, err, _, solved = fullline._panel_integral([nodes], np.array([4]), np.array([half]),
+                                                     times, tol)
         assert received == {(100.0, x) for i, x in enumerate(a[0]) if i not in dropped}
         assert solved == 2 * (ti.size - dropped.size)
-        _, every, _, _ = fullline._panel_integral(nodes, 4, half, times, 0 * times)
-        assert err[1] >= share > 100.0 * every[1]
+        _, every, _, _ = fullline._panel_integral([nodes], np.array([4]), np.array([half]),
+                                                  times, 0 * times)
+        assert err[0, 1] >= share > 100.0 * every[0, 1]
 
     def test_guards(self):
         """Synthetic panels: four separated linear branches and their
@@ -744,7 +817,8 @@ class TestLevin:
                  (_synthetic_panel(turning), every - {(1, 3), (2, 3), (3, 4)}),
                  (_synthetic_panel(base, pair), {p for p in every if not {3, 4} & set(p)})]
         for w, want in cases:
-            k, l, pair_index, dual, ti = fullline._levin_terms(w, 4, np.array([0.0, 1e3]))
+            _, k, l, pair_index, dual, ti = fullline._levin_terms([w], np.array([4]),
+                                                                  np.array([0.0, 1e3]))
             assert np.all(ti == 1)
             assert set(zip(k.tolist(), l.tolist())) == want
             assert np.array_equal(dual < 0, k + l == 7)   # only (k, 7 - k) stands alone
@@ -784,11 +858,12 @@ class TestLevin:
         amplitudes, levin_terms, split_xi, closed = fullline._amplitudes, fullline._levin_terms, [], []
 
         def first_split(e, rows, order):
-            split_xi.append(float(np.abs(e.b[rows[0], 0, 1])))
+            split_xi.append(float(e.xi[rows[0]]))   # |B_vu| = xi
             return amplitudes(e, rows, order)
 
         def spy(w, stride, times):
-            closed.append(bool(np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))))
+            closed.extend(bool(np.array_equal(np.sort_complex(x), np.sort_complex(x.conj())))
+                          for x in w)
             return levin_terms(w, stride, times)
 
         target.clear()
