@@ -41,18 +41,20 @@ to Levin at all: at each time, the lightest ones whose summed mass (twice
 their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE of
 the tolerance stay on the ladder, with that mass added to its estimate.
 
-A node needs the eigendecomposition only for the modal split.  On a grid of
-at most EXPM_MAX_TIMES positive times, a panel where the split does not pay
-for itself propagates its new nodes by model.expm instead, the package's
-batched real exponential (a Taylor polynomial with scaling and squaring, no
-linear solve): a refined panel without a split, or a new panel where
-2 t_max |K|_2 stays within EXPM_ROUTE_TURNS LEVIN_TURN at both ends, K the
-skew part of the energy-scaled generator.  |K|_2 bounds every |Im w| there,
-and since the spectrum is closed under conjugation each branch's Im keeps
-one sign, so no branch swings by more than |K|_2 and no term's phase turns
-by more than EXPM_ROUTE_TURNS LEVIN_TURN.  Such a turn the ladder resolves
-with a few more nodes, which on short grids costs less than the
-eigendecomposition, its guards and the Levin bookkeeping.
+On short horizons none of that machinery pays.  The integrand is smooth and
+even in xi, so by Poisson summation the trapezoid rule of spacing h on the
+whole line is exact up to the autocorrelation of U(., t) at the lags
+2 pi m / h, m != 0, which vanishes while the solution fits in an interval
+shorter than 2 pi / h (Trefethen and Weideman, SIAM Review 56, 2014).  The
+datum sits within a few widths of 0 and no group velocity exceeds
+c = |C1|_2, C = C0 + xi C1 the block of the energy-scaled generator that
+couples its two halves (Weyl's inequality), so the solution stays within
+c t + R.  A grid of at most EXPM_MAX_TIMES positive times whose count times
+c t_max stays within EQUISPACED_MAX_REACH takes that rule on [0, cutoff],
+halving h on nested nodes until two rules agree, its nodes propagated by
+model.expm, the package's batched real exponential (a Taylor polynomial
+with scaling and squaring, no linear solve).  Longer grids take the ladder
+with Levin, every node on the eigen path.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ from tlab import envelope as _envelope
 from tlab import lyapunov as _lyapunov
 from tlab.forms import DIM, SIGMA, THETA, U, Y
 from tlab.model import (
-    SystemConfig, energy_generator_batch, energy_sqrt, expm, real_generator_batch,
-    real_similarity,
+    CONFIG_CACHE_SIZE, SystemConfig, energy_generator_batch, energy_sqrt, expm,
+    real_generator_batch, real_similarity,
 )
 
 
@@ -247,22 +249,31 @@ EIG_COND_MAX = 1e5         # above this 1-norm cond(Vt), a node is propagated by
 EIG_RESID_MAX = 1e-10      # ... and above this 1-norm residual |W Vt - I| per cond(Vt)
 # A node costs one eigendecomposition and its guards (about 20 us) on the eigen
 # path, or about 2 us per positive time through expm.  On 60 seeded short-time
-# norms (best of 5) the route took 0.54-0.77 of the eigen path's time at 3-6
-# positive times and 0.90-0.91 at 7-8, a gain this host's noise does not
-# resolve; with more positive times than this, every node takes the eigen path
+# norms (best of 5, measured when expm replaced the eigen path panel by panel)
+# expm took 0.54-0.77 of the eigen path's time at 3-6 positive times and
+# 0.90-0.91 at 7-8, a gain this host's noise does not resolve; with more
+# positive times than this, every norm takes the ladder
 EXPM_MAX_TIMES = 6
-# On such a grid a new panel goes to expm while 2 t_max |K|_2, which bounds
-# every term's turn, stays within this many LEVIN_TURN.  On norms-short
-# triples (seeds 3-4, best of 7, interleaved) 4 took 0.61-0.99 of the time
-# of a roundoff-only route (factor 1 - 1e-6) at 1-6 positive times, 5 and 6
-# took 1.03 at 6; up to 6 no more norms than with that route missed an
-# EPSREL 1e-12 reference by more than their estimates, with times scaled by
-# 1, 3, 10 and 30 (seeds 1, 7, 913), while 7 and 8 missed more
-EXPM_ROUTE_TURNS = 4.0
-# nodes per expm batch: beyond this its 8x8 stacks fall out of cache.  At 2
-# positive times a node-time cost 1.7-1.9 us in batches of 64-256 nodes and
-# 2.3-3.5 us at 512-2,048 (best of 15, one Xeon core, OpenBLAS, numpy 2.4)
-EXPM_BATCH_NODES = 256
+# On such a grid the equispaced rule (_equispaced, its nodes through expm)
+# replaces the ladder while c t_max times the number n of positive times
+# stays within this, c = _speed(cfg): the rule's nodes grow like c t_max and
+# each costs an exponential per positive time, while the ladder's cost barely
+# grows with t.  On the 14 cells, CLI datum, j = 0, times [0, T] at n = 1 and
+# [0] + geomspace(1, T, n) otherwise (summed best of 3, one BLAS thread, two
+# to three runs each) the two took equal time near c t_max = 1,100-1,300 at
+# n = 1, 600-1,300 at n = 2 (the runs disagree), 300-400 at n = 3 and
+# 150-180 at n = 6.  At n = 3, T = 10 took 0.058 s (2,622 nodes) against the
+# ladder's 0.197 s (4,372 nodes), T = 100 0.27-0.39 s against 0.54-0.65 s,
+# and T = 300 (c t_max 424-554) 0.81-0.85 s against 0.66-0.70 s
+EQUISPACED_MAX_REACH = 1000.0
+# nodes per expm batch of the equispaced rule: beyond 256 its 8x8 stacks fall
+# out of cache.  At 2 positive times a node-time cost 1.7-1.9 us in batches of
+# 64-256 nodes and 2.3-3.5 us at 512-2,048 (best of 15, one Xeon core,
+# OpenBLAS, numpy 2.4).  On norms-short pass 0 of seeds 1, 7 and 913 (CPU
+# time, best of 5, two runs) batches of 64-256 took the same time to within
+# noise (0.38-0.45 s), and over 20 passes of perfbench's norms-short ops 128
+# kept the peak resident set 0.9-1.3 MB below 256
+EXPM_BATCH_NODES = 128
 LEVIN_TURN = 32.0 * np.pi  # a term whose phase turns more than this on a panel goes to Levin
 LEVIN_GAP = 0.5            # a branch nearer another than this many (slope x half-width) collides
 LEVIN_NEGLIGIBLE = 1e-3    # share of the tolerance the lightest Levin terms may leave on the rule
@@ -344,8 +355,8 @@ class NormQuadrature:
     values: np.ndarray   # per time
     errors: np.ndarray   # error estimate per time, same scale as values, tail_bound included
     nodes: int           # frequency nodes evaluated, over all refinement rounds
-    eig: int             # of those, the nodes np.linalg.eig ran on (the others went to expm,
-                         # on short grids nearly all of them)
+    eig: int             # of those, the nodes np.linalg.eig ran on: every node of the ladder,
+                         # none of the equispaced rule
     levin: int           # Levin systems solved, on 33 and on 17 nodes alike
     cutoff: float        # the frequencies integrated are [0, cutoff]
     tail_bound: float    # bound on the norm's part beyond the cutoff, same scale as values
@@ -707,57 +718,18 @@ def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
     return vals, errs, nodes, 2 * t.size
 
 
-def _expm_route(cfg: SystemConfig, times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                held: list[_Nodes | None]) -> np.ndarray:
-    """Per panel, whether its new nodes go through expm instead of _eigen.
-
-    Only when the times hold at most EXPM_MAX_TIMES positive ones: a
-    refined panel that holds no modal split, or a new panel with 2 t_max
-    |K|_2 <= EXPM_ROUTE_TURNS LEVIN_TURN at both ends, K the skew part of
-    model.energy_generator_batch (LEVIN_TURN is read at each call, so with
-    Levin off every panel takes expm).  Every eigenvalue has |Im| <= |K(xi)|_2
-    (Bendixson, Acta Math. 25, 1902), which is convex in xi since K is
-    affine, so within the panel |Im| stays below the larger of |K(lo)|_2 and
-    |K(hi)|_2.  B is real, so its spectrum is closed under conjugation:
-    sorted by Im, branches 0-3 keep Im <= 0 and branches 4-7 Im >= 0, and no
-    branch's Im swings by more than that larger norm.  The bound thus caps
-    the turn of every term the eigen route could send to Levin; below it
-    the ladder resolves the turn with a few more nodes for less than the
-    eigendecomposition would cost.  In the order E = (v, z, phi, eta), O =
-    (u, y, theta, sigma), K = [[0, -C^T], [C, 0]] with C the block (O, E) of
-    the energy-scaled generator, so |K|_2 = |C|_2 (to roundoff), taken once
-    per distinct edge.  The route depends on the config, the times and the
-    panel only.
-    """
-    if np.count_nonzero(times) > EXPM_MAX_TIMES:
-        return np.zeros(lo.size, dtype=bool)
-    new = np.array([h is None for h in held], dtype=bool)
-    route = np.array([h is not None and h.w is None for h in held], dtype=bool)
-    if new.any():
-        edges, at = np.unique(np.concatenate((lo[new], hi[new])), return_inverse=True)
-        b = energy_generator_batch(cfg, edges)
-        reach = np.linalg.norm(b[:, _ODD[:, None], _EVEN], 2, axis=(1, 2))[at]
-        route[new] = (2.0 * times.max() * np.maximum(*reach.reshape(2, -1))
-                      <= EXPM_ROUTE_TURNS * LEVIN_TURN)
-    return route
-
-
-def _batches(fresh: list[np.ndarray], route: np.ndarray, n_times: int):
-    """Panels of one route at a time, in order, whose new nodes times n_times
-    stay within 129 x 32 (129 nodes at 32 times), and whose new nodes stay
-    within EXPM_BATCH_NODES on the expm route; a batch always takes at least
-    one panel."""
+def _batches(fresh: list[np.ndarray], n_times: int):
+    """Panels in order whose new nodes times n_times stay within 129 x 32
+    (129 nodes at 32 times); a batch always takes at least one panel."""
     limit = 32 * _CC_X.size // n_times
-    for group, cap in ((np.flatnonzero(route), min(limit, EXPM_BATCH_NODES)),
-                       (np.flatnonzero(~route), limit)):
-        first = 0
-        while first < group.size:
-            last, count = first, 0
-            while last < group.size and (last == first or count + fresh[group[last]].size <= cap):
-                count += fresh[group[last]].size
-                last += 1
-            yield group[first:last]
-            first = last
+    first = 0
+    while first < len(fresh):
+        last, count = first, 0
+        while last < len(fresh) and (last == first or count + fresh[last].size <= limit):
+            count += fresh[last].size
+            last += 1
+        yield np.arange(first, last)
+        first = last
 
 
 def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: np.ndarray,
@@ -801,7 +773,7 @@ def _eigen_nodes(cfg: SystemConfig, xi: np.ndarray, uhat0: np.ndarray, weight: n
 
 def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
             lo: np.ndarray, hi: np.ndarray, stride: np.ndarray, held: list[_Nodes | None],
-            tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, tuple[int, int], int]:
+            tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, int, int]:
     """Per-panel integral and error estimate, shape (panels, times).
 
     Panel k is integrated by _panel_integral on the rule of stride[k],
@@ -809,44 +781,28 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
     in the first round).  held[k], when set, holds the panel's nodes of
     twice that stride, with their Levin results, so only the missing nodes
     are evaluated and only the missing Levin systems solved.  The new nodes
-    of a panel that _expm_route sends there are propagated by expm and
-    never split into modal terms; the others go through _eigen_nodes.  The
-    route picks expm where the ladder integrates the panel's terms for less
-    than the eigendecomposition and Levin would cost, so a routed panel may
-    take more nodes than on the eigen route, within the same tolerance.
-    Panels of one route are evaluated together while their new nodes times
-    the number of times stay within 129 x 32, which bounds the working
-    memory, and on the expm route while their new nodes stay within
-    EXPM_BATCH_NODES, which keeps its stacks in cache.  The panels of a
-    batch are then integrated together by one _panel_integral call.  Each
-    node's eigendecomposition (dynamics.eigen_batch) is its own LAPACK call,
-    each node's exponential its own scaling, each panel's rule sum its own
-    product and each Levin system its own solve, so the batching does not
-    change the results.  Also returns each panel's nodes while it is below
-    129 points (None otherwise), the numbers of nodes evaluated and of those
-    that were eigendecomposed, and the number of Levin systems solved.
+    go through _eigen_nodes.  Panels are evaluated together while their new
+    nodes times the number of times stay within 129 x 32, which bounds the
+    working memory, and the panels of a batch are then integrated together
+    by one _panel_integral call.  Each node's eigendecomposition
+    (dynamics.eigen_batch) is its own LAPACK call, each panel's rule sum its
+    own product and each Levin system its own solve, so the batching does
+    not change the results.  Also returns each panel's nodes while it is
+    below 129 points (None otherwise), the number of nodes evaluated, all
+    of them eigendecomposed, and the number of Levin systems solved.
     """
     half = 0.5 * (hi - lo)
     fresh = [_CC_X[::s] if h is None else _CC_X[s::2 * s] for s, h in zip(stride, held)]
-    route = _expm_route(cfg, times, lo, hi, held)
     vals = np.empty((lo.size, times.size))
     errs = np.empty((lo.size, times.size))
     kept: list[_Nodes | None] = [None] * lo.size
-    levin = eig = 0
-    for batch in _batches(fresh, route, times.size):
+    levin = 0
+    for batch in _batches(fresh, times.size):
         xi = np.concatenate([lo[k] + half[k] * (1.0 + fresh[k]) for k in batch])
-        uhat0 = datum.fourier(xi).T
-        weight = (xi ** (2 * j))[:, None]
         bounds = np.cumsum([0] + [fresh[k].size for k in batch])
         spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        if route[batch[0]]:
-            f = _propagated_norms_sq(real_generator_batch(cfg, xi), uhat0 / real_similarity(cfg),
-                                     times) * weight
-            parts, terms = [_Nodes(f[rows]) for rows in spans], None
-        else:
-            parts, terms = _eigen_nodes(cfg, xi, uhat0, weight, spans, [held[k] for k in batch],
-                                        stride[batch], times)
-            eig += xi.size
+        parts, terms = _eigen_nodes(cfg, xi, datum.fourier(xi).T, (xi ** (2 * j))[:, None],
+                                    spans, [held[k] for k in batch], stride[batch], times)
         parts = [part if held[k] is None else held[k].interleave(part)
                  for k, part in zip(batch, parts)]
         vals[batch], errs[batch], parts, solved = _panel_integral(parts, stride[batch],
@@ -854,84 +810,19 @@ def _panels(cfg: SystemConfig, datum: InitialDatum, times: np.ndarray, j: int,
         levin += solved
         for k, nodes in zip(batch, parts):
             kept[k] = nodes if stride[k] > 1 else None
-    return vals, errs, kept, (sum(x.size for x in fresh), eig), levin
+    return vals, errs, kept, sum(x.size for x in fresh), levin
 
 
-def _time_grid(times: Sequence[float]) -> np.ndarray:
-    """The requested times as a flat float array; ValueError unless it is a
-    nonempty list of finite, nonnegative times."""
-    ts = np.asarray(times, dtype=float).reshape(-1)
-    if ts.size == 0:
-        raise ValueError("times must not be empty")
-    if not np.all(np.isfinite(ts)):
-        raise ValueError(f"times must be finite, got {float(ts[~np.isfinite(ts)][0])}")
-    if np.any(ts < 0.0):
-        raise ValueError(f"times must be nonnegative, got {float(ts[ts < 0.0][0])}")
-    return ts
-
-
-def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[float],
-                      j: int) -> NormQuadrature:
-    """|d^j U(t)|_{L2}^2 = (1/pi) int_0^cutoff xi^{2j} |e^{A(xi)t} Uhat0|^2 dxi, all t at once.
-
-    The times must be a nonempty list of finite, nonnegative numbers
-    (ValueError otherwise, before any node is evaluated).  Panels start on
-    the 33-point Clenshaw-Curtis rule at the layout of _breakpoints, graded
-    by 2 from the slowest decay scale (1+t_max)^(-1/2) up to the cutoff, so
-    it depends on the times only through the largest.  At every node the
-    integrand splits into modal terms a_kl(xi) e^{t s_kl(xi)}, s_kl =
-    conj(w_k) + w_l over the eigenvalues w of the mode generator.  On a
-    panel where a term's phase t Im s_kl turns by more than LEVIN_TURN, that
-    term is integrated by Levin collocation on the panel's 33 nodes, unless
-    a guard sends it back: a stationary point of its phase, a branch that
-    nearly collides with another, a conjugate pair that does not stay one,
-    or a node off the eigen path.  On a grid of at most EXPM_MAX_TIMES
-    positive times, panels whose terms turn by at most EXPM_ROUTE_TURNS
-    LEVIN_TURN skip the eigendecomposition and propagate their nodes by
-    expm (_expm_route); the ladder then integrates every term of those
-    panels, within the same tolerances.  Everything else, the
-    integrand minus the Levin terms, stays on the Clenshaw-Curtis rule.
-    A panel's error estimate is the rule against the nested rule of half
-    its points, plus each Levin integral against Levin on the nested 17
-    nodes.  At each
-    time, the lightest Levin terms of a panel whose summed mass (twice
-    their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE
-    of the tolerance stay on the rule, with that mass added to its
-    estimate; the first round judges against the floor EPSABS |d^j U0|^2,
-    below which no later tolerance max(EPSABS |d^j U0|^2, EPSREL |value|)
-    falls.  A panel holds its Levin results while it climbs the ladder
-    (the rungs share the 33 Levin nodes), so no system is solved twice.
-    The panels of a batch (_panels) are integrated together, in stacked
-    passes per node count and one stacked solve per Levin rule, with the
-    results of panels taken one at a time, bit for bit.
-    While some time's summed error estimate exceeds the tolerance, the panels
-    with the largest estimates are refined: a panel below 129 points moves
-    to the next nested rule (65, then 129 points), evaluating only the
-    nodes it lacks; a 129-point panel is bisected, both halves at 129 points.
-    Refinement also stops when the node budget is spent.  Raises
-    QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
-    The result counts the nodes evaluated, those of them that were
-    eigendecomposed and the Levin systems solved.
-    """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    ts = _time_grid(times)
-    floor = EPSABS * datum.sobolev_norm_sq(j)
-    # |e^{At} u|^2 <= (alpha2/alpha1) |u|^2 bounds the tail beyond the cutoff by
-    # the datum's own tail; the cutoff keeps that bound (times pi, on the scale
-    # of the integral) within LEVIN_NEGLIGIBLE of the floor
-    growth = cfg.alpha2 / cfg.alpha1
-    cutoff = datum.tail_cutoff(j, LEVIN_NEGLIGIBLE * floor / (math.pi * growth))
-    if cutoff == 0.0:
-        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), nodes=0, eig=0, levin=0,
-                              cutoff=0.0, tail_bound=0.0)
-    tail = math.pi * growth * datum.tail_sq(j, cutoff)
-
+def _ladder(cfg: SystemConfig, datum: InitialDatum, ts: np.ndarray, j: int, floor: float,
+            cutoff: float, tail: float) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """The integral over [0, cutoff] on adaptive panels, with its error
+    estimate (tail not included), the nodes, the eigendecomposed nodes and
+    the Levin systems solved; see solution_norms_sq."""
     edges = _breakpoints(cutoff, ts)
     lo, hi = edges[:-1], edges[1:]
     stride = np.full(lo.size, _START_STRIDE)
-    vals, errs, held, (nodes, eig), levin = _panels(cfg, datum, ts, j, lo, hi, stride,
-                                                    [None] * lo.size, np.full(ts.size, floor))
+    vals, errs, held, nodes, levin = _panels(cfg, datum, ts, j, lo, hi, stride,
+                                             [None] * lo.size, np.full(ts.size, floor))
     while True:
         tol = np.maximum(floor, EPSREL * np.abs(vals.sum(axis=0)))
         open_t = errs.sum(axis=0) + tail > tol
@@ -951,19 +842,110 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         new_lo = np.concatenate([lo[up], lo[cut], mid])
         new_hi = np.concatenate([hi[up], mid, hi[cut]])
         new_stride = np.concatenate([stride[up] // 2, np.ones(2 * cut.size, dtype=int)])
-        new_vals, new_errs, new_held, (n, n_eig), solved = _panels(
+        new_vals, new_errs, new_held, n, solved = _panels(
             cfg, datum, ts, j, new_lo, new_hi, new_stride,
             [held[i] for i in up] + [None] * (2 * cut.size), tol)
         nodes += n
-        eig += n_eig
         levin += solved
         keep = np.flatnonzero(~pick)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         stride = np.concatenate([stride[keep], new_stride])
         vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
         held = [held[i] for i in keep] + new_held
+    return vals.sum(axis=0), errs.sum(axis=0), nodes, nodes, levin
 
-    total, err = vals.sum(axis=0), errs.sum(axis=0) + tail
+
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _speed(cfg: SystemConfig) -> float:
+    """|C1|_2, with C(xi) = C0 + xi C1 the block (O, E) of the energy-scaled
+    generator, K = [[0, -C^T], [C, 0]] in the order E = (v, z, phi, eta),
+    O = (u, y, theta, sigma).  The undamped frequencies are the singular
+    values of C(xi), and by Weyl's inequality each moves by at most
+    |C1|_2 |dxi|, so |C1|_2 bounds every group velocity.  Cached per
+    config."""
+    c = energy_generator_batch(cfg, np.array([0.0, 1.0]))[:, _ODD[:, None], _EVEN]
+    return float(np.linalg.norm(c[1] - c[0], 2))
+
+
+def _equispaced(cfg: SystemConfig, datum: InitialDatum, ts: np.ndarray, j: int, floor: float,
+                cutoff: float, tail: float) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """The integral over [0, cutoff] by the trapezoid rule on the nodes k h,
+    k = 0..n, n h the first node at or past the cutoff, with its error
+    estimate (tail not included), the nodes, and no eigendecomposed node or
+    Levin system.
+
+    The integrand is even in xi, so the rule with weight h/2 at 0 is the
+    whole-line trapezoid rule, whose error by Poisson summation is the
+    autocorrelation of U(., t) at the lags 2 pi m / h, m != 0: none while
+    the solution fits in an interval shorter than 2 pi / h (Trefethen and
+    Weideman, SIAM Review 56, 2014).  The data sit within a few widths of 0
+    and no group velocity exceeds c = _speed(cfg), so the first spacing is
+    h = pi / L with L = c t_max + 7 (widest profile width).  Correctness
+    rests on the halving, not on L: h is halved on nested nodes, only the
+    new odd nodes evaluated, until at every time the change of the rule
+    plus the tail bound is within max(floor, EPSREL |value|), or until the
+    next halving would spend more than NODE_BUDGET nodes; the change is the
+    error estimate (infinite before the first halving).  Past its peak the
+    datum's weighted transform falls, so the nodes beyond n h carry less
+    than the tail bound.  Nodes go through model.expm in chunks of
+    EXPM_BATCH_NODES.
+    """
+    width = max(p.width for p in datum.profiles if not isinstance(p, Zero))
+    h = math.pi / (_speed(cfg) * ts.max() + 7.0 * width)
+    n = math.ceil(cutoff / h)
+
+    def weighted_sum(xi: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        out = np.zeros(ts.size)
+        for at in range(0, xi.size, EXPM_BATCH_NODES):
+            x = xi[at:at + EXPM_BATCH_NODES]
+            f = _propagated_norms_sq(real_generator_batch(cfg, x),
+                                     datum.fourier(x).T / real_similarity(cfg), ts)
+            out += weight[at:at + EXPM_BATCH_NODES] @ f
+        return out
+
+    xi = h * np.arange(n + 1)
+    weight = xi ** (2 * j)
+    weight[0] *= 0.5
+    total, err, nodes = h * weighted_sum(xi, weight), np.full(ts.size, np.inf), n + 1
+    while np.any(err + tail > np.maximum(floor, EPSREL * np.abs(total))):
+        if nodes + n > NODE_BUDGET:
+            break
+        h, n = 0.5 * h, 2 * n
+        xi = h * np.arange(1, n, 2)
+        halved = 0.5 * total + h * weighted_sum(xi, xi ** (2 * j))
+        err, total, nodes = np.abs(halved - total), halved, nodes + xi.size
+    return total, err, nodes, 0, 0
+
+
+def _time_grid(times: Sequence[float]) -> np.ndarray:
+    """The requested times as a flat float array; ValueError unless it is a
+    nonempty list of finite, nonnegative times."""
+    ts = np.asarray(times, dtype=float).reshape(-1)
+    if ts.size == 0:
+        raise ValueError("times must not be empty")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"times must be finite, got {float(ts[~np.isfinite(ts)][0])}")
+    if np.any(ts < 0.0):
+        raise ValueError(f"times must be nonnegative, got {float(ts[ts < 0.0][0])}")
+    return ts
+
+
+def _norms_sq(rule, cfg: SystemConfig, datum: InitialDatum, ts: np.ndarray,
+              j: int) -> NormQuadrature:
+    """solution_norms_sq on the validated time grid ts by the given rule,
+    _ladder or _equispaced."""
+    floor = EPSABS * datum.sobolev_norm_sq(j)
+    # |e^{At} u|^2 <= (alpha2/alpha1) |u|^2 bounds the tail beyond the cutoff by
+    # the datum's own tail; the cutoff keeps that bound (times pi, on the scale
+    # of the integral) within LEVIN_NEGLIGIBLE of the floor
+    growth = cfg.alpha2 / cfg.alpha1
+    cutoff = datum.tail_cutoff(j, LEVIN_NEGLIGIBLE * floor / (math.pi * growth))
+    if cutoff == 0.0:
+        return NormQuadrature(np.zeros(ts.size), np.zeros(ts.size), nodes=0, eig=0, levin=0,
+                              cutoff=0.0, tail_bound=0.0)
+    tail = math.pi * growth * datum.tail_sq(j, cutoff)
+    total, err, nodes, eig, levin = rule(cfg, datum, ts, j, floor, cutoff, tail)
+    err = err + tail
     failed = ((total != 0.0) & (err > ACCEPT_REL * np.abs(total))) | ~np.isfinite(total + err)
     if failed.any():
         i = int(np.argmax(failed))
@@ -973,6 +955,67 @@ def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[fl
         )
     return NormQuadrature(total / math.pi, err / math.pi, nodes=nodes, eig=eig, levin=levin,
                           cutoff=cutoff, tail_bound=tail / math.pi)
+
+
+def solution_norms_sq(cfg: SystemConfig, datum: InitialDatum, times: Sequence[float],
+                      j: int) -> NormQuadrature:
+    """|d^j U(t)|_{L2}^2 = (1/pi) int_0^cutoff xi^{2j} |e^{A(xi)t} Uhat0|^2 dxi, all t at once.
+
+    The times must be a nonempty list of finite, nonnegative numbers
+    (ValueError otherwise, before any node is evaluated).  The cutoff keeps
+    the datum's tail, times the growth bound alpha2/alpha1, within
+    LEVIN_NEGLIGIBLE of the floor EPSABS |d^j U0|^2; that tail bound is part
+    of every error estimate, and every tolerance is max(EPSABS |d^j U0|^2,
+    EPSREL |value|).
+
+    Short horizons take the equispaced trapezoid rule (_equispaced): a grid
+    of n <= EXPM_MAX_TIMES positive times with n c t_max at most
+    EQUISPACED_MAX_REACH, c = _speed(cfg) the bound on every group
+    velocity.  Its nodes go through model.expm, and h is halved on nested
+    nodes until two rules agree; no node is eigendecomposed and no Levin
+    system solved.
+
+    Every other grid takes the adaptive ladder (_ladder).  Panels start on
+    the 33-point Clenshaw-Curtis rule at the layout of _breakpoints, graded
+    by 2 from the slowest decay scale (1+t_max)^(-1/2) up to the cutoff, so
+    it depends on the times only through the largest.  At every node the
+    integrand splits into modal terms a_kl(xi) e^{t s_kl(xi)}, s_kl =
+    conj(w_k) + w_l over the eigenvalues w of the mode generator.  On a
+    panel where a term's phase t Im s_kl turns by more than LEVIN_TURN, that
+    term is integrated by Levin collocation on the panel's 33 nodes, unless
+    a guard sends it back: a stationary point of its phase, a branch that
+    nearly collides with another, a conjugate pair that does not stay one,
+    or a node off the eigen path.  Everything else, the integrand minus the
+    Levin terms, stays on the Clenshaw-Curtis rule.  A panel's error
+    estimate is the rule against the nested rule of half its points, plus
+    each Levin integral against Levin on the nested 17 nodes.  At each
+    time, the lightest Levin terms of a panel whose summed mass (twice
+    their L1 mass, what aliasing could hide) stays within LEVIN_NEGLIGIBLE
+    of the tolerance stay on the rule, with that mass added to its
+    estimate; the first round judges against the floor, below which no
+    later tolerance falls.  A panel holds its Levin results while it climbs
+    the ladder (the rungs share the 33 Levin nodes), so no system is solved
+    twice.  The panels of a batch (_panels) are integrated together, in
+    stacked passes per node count and one stacked solve per Levin rule,
+    with the results of panels taken one at a time, bit for bit.  While
+    some time's summed error estimate exceeds the tolerance, the panels
+    with the largest estimates are refined: a panel below 129 points moves
+    to the next nested rule (65, then 129 points), evaluating only the
+    nodes it lacks; a 129-point panel is bisected, both halves at 129
+    points.
+
+    Either rule stops refining when the node budget is spent.  Raises
+    QuadratureError when an estimate then still exceeds ACCEPT_REL |value|.
+    The result counts the nodes evaluated, those of them that were
+    eigendecomposed and the Levin systems solved.
+    """
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    ts = _time_grid(times)
+    positive = np.count_nonzero(ts)
+    short = (positive <= EXPM_MAX_TIMES
+             and positive * _speed(cfg) * ts.max() <= EQUISPACED_MAX_REACH)
+    return _norms_sq(_equispaced if short else _ladder, cfg, datum, ts, j)
 
 
 def sobolev_norm_sq(cfg: SystemConfig, datum: InitialDatum, t: float, j: int) -> float:

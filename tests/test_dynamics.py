@@ -328,13 +328,13 @@ class TestSplitEigen:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), cfg
 
     def test_norms_do_not_depend_on_the_split(self, monkeypatch):
-        """Values, errors and the node, eig and Levin counts, on a grid whose
-        panels take both the expm and the eigen route."""
+        """Values, errors and the node, eig and Levin counts of the ladder,
+        which eigendecomposes every node."""
         datum = fullline.InitialDatum.component(V, fullline.Gaussian(1.0, 1.0))
-        times = [0.0, 1.0, 10.0, 100.0]
+        times = np.array([0.0, 1.0, 10.0, 100.0])
         for cfg in _split_cells():
             def norms():
-                return fullline.solution_norms_sq(cfg, datum, times, 0)
+                return fullline._norms_sq(fullline._ladder, cfg, datum, times, 0)
             one = self._run(monkeypatch, 1, dynamics.EIG_CHUNK_MIN, norms)
             split = self._run(monkeypatch, 2, 1, norms)
             assert one.eig > 0, cfg

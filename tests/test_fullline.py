@@ -15,8 +15,8 @@ from tlab.fullline import (
     verify_theorem_bound,
 )
 from tlab.model import (
-    assemble_generator, energy_generator_batch, energy_sqrt, generator_batch,
-    real_generator_batch,
+    Coupling, Damping, SystemConfig, Tau, assemble_generator, energy_sqrt, generator_batch,
+    real_generator_batch, real_similarity,
 )
 from tlab.suite import standard_suite, unstable_reference
 
@@ -143,16 +143,30 @@ class TestProfiles:
             InitialDatum(profiles=(Zero(),))
 
 
+def _ladder_norms_sq(cfg, datum, times, j) -> fullline.NormQuadrature:
+    """solution_norms_sq on the adaptive ladder, whatever the grid."""
+    return fullline._norms_sq(fullline._ladder, cfg, datum, fullline._time_grid(times), j)
+
+
 class TestSolutionNorms:
     def test_initial_time_matches_datum_norm(self):
+        """At t = 0 the norm is the datum's closed form, independent of both
+        rules: one Gaussian, then the short grids of 14 cells and
+        covering_configs with mixed data and j = 0..2, within the reported
+        error up to roundoff."""
         cfg = standard_suite()["tau1-type3-first"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         assert sobolev_norm_sq(cfg, datum, 0.0, 0) == pytest.approx(
             datum.sobolev_norm_sq(0), rel=1e-9)
+        for cfg, datum, times, j in _short_grid_cases():
+            got = solution_norms_sq(cfg, datum, times, j)
+            want = datum.sobolev_norm_sq(j)
+            assert abs(got.values[0] - want) <= got.errors[0] + 1e-13 * got.values[0], (cfg, j)
 
     def test_fft_cross_validation(self):
-        """Same norm via a dense trapezoidal frequency sum: the adaptive
-        quadrature and the fixed grid must agree to 1e-6 relative."""
+        """Same norm via a dense trapezoidal frequency sum of per-node
+        scipy.linalg.expm: the quadrature (at t = 2, the equispaced rule)
+        and the fixed grid must agree to 1e-6 relative."""
         cfg = standard_suite()["tau2-type3-first"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         t = 2.0
@@ -286,7 +300,8 @@ class TestBatchedKernel:
         assert result.nodes > 0
 
     def test_expm_fallback_agrees_with_eig_path(self, monkeypatch):
-        """With the conditioning guard forced, every node goes through expm."""
+        """With the conditioning guard forced, every node goes through expm,
+        on the modal kernel and on the ladder's whole norms."""
         times = np.array([0.0, 1.0, 10.0, 100.0])
         xi = np.concatenate(([0.0], np.logspace(-4, 1.5, 60)))
         datum = _mixed_datum()
@@ -301,10 +316,10 @@ class TestBatchedKernel:
                                        err_msg=name)
 
         cfg = standard_suite()["tau2-type3-first"]
-        forced_norms = solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values
+        forced_norms = _ladder_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values
         monkeypatch.undo()
         assert forced_norms == pytest.approx(
-            solution_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values, rel=1e-10)
+            _ladder_norms_sq(cfg, datum, [0.0, 1.0, 10.0], 1).values, rel=1e-10)
 
     def test_coefficients_match_solve(self):
         """c read off the P-orthogonal rows (P v_i)^T / (v_i^T P v_i) matches
@@ -385,14 +400,19 @@ class TestBatchedKernel:
             assert t == single
             assert norm ** 2 == pytest.approx(sobolev_norm_sq(cfg, datum, single, 1), rel=1e-8)
 
-    def test_node_budget_exhaustion_is_a_quadrature_error(self, monkeypatch):
-        # t = 100 alone takes 488 nodes; its first round of 264 leaves an
-        # estimate of 1.2e-3 relative, above ACCEPT_REL
-        monkeypatch.setattr(fullline, "NODE_BUDGET", 300)
+    @pytest.mark.parametrize("times,budget", [([1e3], 300), ([0.0, 5.0], 60)],
+                             ids=["ladder", "equispaced"])
+    def test_node_budget_exhaustion_is_a_quadrature_error(self, times, budget, monkeypatch):
+        """Refinement stops at NODE_BUDGET and the unconverged norm is a
+        QuadratureError.  The ladder at t = 1e3 takes 489 nodes; its first
+        round of 297 leaves an estimate of 2.0e-3 relative, above ACCEPT_REL.
+        The equispaced rule at t <= 5 takes 79 nodes; its first rule of 40
+        has no estimate until the first halving, which the budget forbids."""
+        monkeypatch.setattr(fullline, "NODE_BUDGET", budget)
         cfg = standard_suite()["tau2-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         with pytest.raises(fullline.QuadratureError):
-            solution_norms_sq(cfg, datum, [100.0], 0)
+            solution_norms_sq(cfg, datum, times, 0)
 
 
 class TestOrderLadder:
@@ -426,10 +446,10 @@ class TestOrderLadder:
             assert got.values == pytest.approx(expected, rel=1e-8), (cfg, j, times)
 
     def test_short_time_nodes(self):
-        """A smooth short-time integrand settles on the lower rules of its
-        first panels (262 measured)."""
+        """A smooth short-time integrand takes the equispaced rule after two
+        halvings (217 nodes measured; 262 on the ladder)."""
         cfg = standard_suite()["tau2-type3-first"]
-        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 300
+        assert solution_norms_sq(cfg, _mixed_datum(), [0.0, 0.5, 5.0], 1).nodes <= 240
 
     def test_long_time_nodes(self):
         """With the oscillating modal terms on Levin, a long horizon takes
@@ -535,21 +555,54 @@ class TestLayout:
                                            "the error at t = 126 on a short grid")
     def test_short_grid_first_cell_errors_cover_a_tighter_run(self, monkeypatch):
         """tau3-frictional-first, j = 0, times [0, 23.93214, 126.06861], a
-        datum on phi, sigma and eta: at t = 126.07 the reported error is
-        6.7e-10 relative and the distance to a run at EPSREL 1e-12 is 7.3e-9.
-        That run agrees with one with Levin off to 1e-15."""
-        cfg = standard_suite()["tau3-frictional-first"]
-        profiles = [Zero()] * 8
-        profiles[PHI] = Gaussian(-1.409439, 0.802285)
-        profiles[SIGMA] = Gaussian(-1.510382, 1.039146)
-        profiles[ETA] = GaussianDerivative(2, 1.187484, 1.983365)
-        datum = InitialDatum(profiles=tuple(profiles))
-        times = [0.0, 23.93214, 126.06861]
-        got = solution_norms_sq(cfg, datum, times, 0)
+        datum on phi, sigma and eta, on the ladder: at t = 126.07 the
+        reported error is 6.7e-10 relative and the distance to a run at
+        EPSREL 1e-12 is 7.3e-9.  That run agrees with one with Levin off to
+        1e-15.  solution_norms_sq takes the equispaced rule here
+        (test_short_grid_first_cell_takes_the_rule)."""
+        cfg, datum, times = _first_cell_short_grid()
+        got = _ladder_norms_sq(cfg, datum, times, 0)
         monkeypatch.setattr(fullline, "EPSREL", 1e-12)
-        tight = solution_norms_sq(cfg, datum, times, 0)
+        tight = _ladder_norms_sq(cfg, datum, times, 0)
         assert np.all(np.abs(got.values - tight.values)
                       <= got.errors + tight.errors + 1e-13 * tight.values)
+
+    def test_short_grid_first_cell_takes_the_rule(self):
+        """The same case through solution_norms_sq, which takes the
+        equispaced rule (c t_max = 233): at t = 126.07 its estimate covers
+        the distance to the ladder's EPSREL 1e-12 value 0.81518395880222
+        (the ladder at the default EPSREL gives 0.81518395281306)."""
+        cfg, datum, times = _first_cell_short_grid()
+        got = solution_norms_sq(cfg, datum, times, 0)
+        assert got.eig == got.levin == 0
+        assert abs(got.values[2] - 0.81518395880222) <= got.errors[2] + 1e-14
+
+    def test_short_grid_regression_matches_gauss_legendre(self):
+        """tau2, frictional, zero-order coupling, j = 2, a second derivative
+        of a Gaussian on z, times [0, 3.31143, 109.71426] (a norms-short
+        triple with its times scaled by 30): at t = 109.71426, Gauss-Legendre
+        on 300 and on 450 panels gives 2.04481298881895e-02, and the estimate
+        covers the distance to it.  The ladder gives 2.044812986151241e-02
+        there with an estimate of 6.1e-12, 4.4 times too small."""
+        cfg = SystemConfig(k1=1.639905, k2=1.379961, k3=1.441774, k4=1.7962, k5=1.494673,
+                           gamma=-1.495956, tau=Tau.TAU2, damping=Damping.FRICTIONAL,
+                           coupling=Coupling.ZERO_ORDER)
+        datum = InitialDatum.component(Z, GaussianDerivative(2, 1.035961, 0.663104))
+        got = solution_norms_sq(cfg, datum, [0.0, 3.31143, 109.71426], 2)
+        want = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, [109.71426], 2,
+                                           panels=300)[0]
+        assert abs(got.values[2] - want) <= got.errors[2] + 1e-13 * want
+
+
+def _first_cell_short_grid():
+    """ROADMAP item 17's short-grid case: tau3-frictional-first, a datum on
+    phi, sigma and eta, times [0, 23.93214, 126.06861]."""
+    profiles = [Zero()] * 8
+    profiles[PHI] = Gaussian(-1.409439, 0.802285)
+    profiles[SIGMA] = Gaussian(-1.510382, 1.039146)
+    profiles[ETA] = GaussianDerivative(2, 1.187484, 1.983365)
+    return (standard_suite()["tau3-frictional-first"], InitialDatum(profiles=tuple(profiles)),
+            [0.0, 23.93214, 126.06861])
 
 
 def _synthetic_panel(im: np.ndarray, middle: np.ndarray | None = None) -> np.ndarray:
@@ -626,14 +679,17 @@ class TestLevin:
     def test_colliding_branches_match_oracle(self, name):
         """Cells whose branches meet (equal speeds, real pairs turning
         complex) at t = 100, against per-node expm on 48 panels of
-        20-point Gauss-Legendre, enough to resolve t = 100 on [0, 8]."""
+        20-point Gauss-Legendre, enough to resolve t = 100 on [0, 8]: the
+        ladder, and solution_norms_sq, which takes the equispaced rule."""
         cfg = standard_suite()[name]
         datum = InitialDatum.component(V, Gaussian(1.0, 2.0))
         times = [0.0, 100.0]
-        got = solution_norms_sq(cfg, datum, times, 0)
+        got = _ladder_norms_sq(cfg, datum, times, 0)
         expected = oracles.plancherel_norms_sq(cfg, datum.fourier, got.cutoff, times, 0,
                                                panels=48)
         assert got.values == pytest.approx(expected, rel=1e-10)
+        assert solution_norms_sq(cfg, datum, times, 0).values == pytest.approx(expected,
+                                                                              rel=1e-10)
 
     def test_default_grid_nodes(self):
         """tau2-frictional-zero over default_times(31): at most 1,100 nodes
@@ -702,8 +758,7 @@ class TestLevin:
         np.linalg.solve per Levin rule; with every panel in a batch of its
         own, values, errors and counts are bitwise the same.  On the four
         cells of a long decay run, the mixed datum at j = 1 on
-        tau1-frictional-zero, and a short-grid triple whose panels take both
-        routes."""
+        tau1-frictional-zero, and a short-grid triple, all on the ladder."""
         decay = InitialDatum.component(V, Gaussian(1.0, 1.0))
         short = InitialDatum(profiles=(Zero(), Gaussian(-1.832686, 1.064944), Zero(),
                                        GaussianDerivative(1, 1.42619, 1.600607), Zero(), Zero(),
@@ -728,13 +783,13 @@ class TestLevin:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(fullline, "_batches", watched)
-        stacked = [solution_norms_sq(*case) for case in cases]
+        stacked = [_ladder_norms_sq(*case) for case in cases]
         assert max(solves) == 2 and max(sizes) > 1
         assert stacked[-1].eig > 0 and stacked[-1].levin > 0
         monkeypatch.setattr(fullline, "_batches", lambda *args: (
             batch[i:i + 1] for batch in batches(*args) for i in range(batch.size)))
         for case, got in zip(cases, stacked):
-            alone = solution_norms_sq(*case)
+            alone = _ladder_norms_sq(*case)
             assert got.values.tobytes() == alone.values.tobytes(), case[0]
             assert got.errors.tobytes() == alone.errors.tobytes(), case[0]
             assert (got.nodes, got.eig, got.levin) == (alone.nodes, alone.eig, alone.levin)
@@ -763,10 +818,7 @@ class TestLevin:
         terms and no more: those never reach _levin, every other term does,
         and the panel's error at t = 100 includes their mass (twice their
         L1 mass on the panel), which is far above its estimate with every
-        term on Levin.  The panel's route bound 2 t |K|_2 is 6.7 LEVIN_TURN,
-        near EXPM_ROUTE_TURNS, so the eigen route is forced: the test needs
-        the modal split whatever that constant is."""
-        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
+        term on Levin."""
         cfg = standard_suite()["tau3-frictional-zero"]
         datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
         times = np.array([0.0, 100.0])
@@ -868,11 +920,11 @@ class TestLevin:
 
         target.clear()
         monkeypatch.setattr(fullline, "_amplitudes", first_split)
-        solution_norms_sq(cfg, datum, times, 0)
+        _ladder_norms_sq(cfg, datum, times, 0)
         target.append(split_xi[0])
         hits.clear()
         monkeypatch.setattr(fullline, "_levin_terms", spy)
-        got = solution_norms_sq(cfg, datum, times, 0)
+        got = _ladder_norms_sq(cfg, datum, times, 0)
         assert hits and not all(closed)   # the perturbed node reached the Levin selection ...
         assert got.values == pytest.approx(oracles.plancherel_norms_sq(   # ... and went to expm
             cfg, datum.fourier, got.cutoff, times, 0, panels=48), rel=1e-10)
@@ -977,50 +1029,35 @@ def _short_grid_cases():
 
 
 class TestExpmRoute:
-    def test_short_grids_match_the_eigen_route(self, monkeypatch):
-        """With EXPM_MAX_TIMES at 0 every node takes the eigen route.  By
-        default a short grid sends nearly every new panel to expm, where the
-        ladder resolves with a few more nodes what Levin would integrate:
-        the norms agree within the summed estimates, up to roundoff (1e-14
-        relative, where both routes have the same nodes), and within 1e-12
-        relative, and at most 5 % of the nodes are eigendecomposed."""
-        cases = _short_grid_cases()
-        got = [solution_norms_sq(cfg, datum, times, j) for cfg, datum, times, j in cases]
-        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
-        for (cfg, datum, times, j), fast in zip(cases, got):
-            ref = solution_norms_sq(cfg, datum, times, j)
+    """Short grids take the equispaced trapezoid rule, its nodes through
+    model.expm; the others take the ladder on the eigen path."""
+
+    def test_short_grids_match_the_eigen_route(self):
+        """The equispaced rule against the ladder, called directly, on the
+        short grids: the norms agree within the summed estimates, up to
+        roundoff (1e-14 relative), and within 1e-12 relative; the ladder
+        eigendecomposes every node, the rule none."""
+        for cfg, datum, times, j in _short_grid_cases():
+            fast = solution_norms_sq(cfg, datum, times, j)
+            ref = _ladder_norms_sq(cfg, datum, times, j)
             assert ref.eig == ref.nodes
+            assert fast.eig == fast.levin == 0
             assert np.all(np.abs(fast.values - ref.values)
                           <= fast.errors + ref.errors + 1e-14 * ref.values), cfg
             np.testing.assert_allclose(fast.values, ref.values, rtol=1e-12, err_msg=str(cfg))
-        assert sum(q.eig for q in got) <= 0.05 * sum(q.nodes for q in got)
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_short_grid_errors_cover_a_tight_reference(self, scale, monkeypatch):
         """The short grids with their times scaled by 1 and 3: each reported
-        error covers the distance to an eigen-route run at EPSREL 1e-12, up
-        to that run's own tolerance."""
+        error covers the distance to a ladder run at EPSREL 1e-12, up to
+        that run's own tolerance."""
         cases = [(cfg, datum, [scale * t for t in times], j)
                  for cfg, datum, times, j in _short_grid_cases()]
         got = [solution_norms_sq(cfg, datum, times, j) for cfg, datum, times, j in cases]
-        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
         monkeypatch.setattr(fullline, "EPSREL", 1e-12)
         for (cfg, datum, times, j), q in zip(cases, got):
-            ref = solution_norms_sq(cfg, datum, times, j).values
+            ref = _ladder_norms_sq(cfg, datum, times, j).values
             assert np.all(np.abs(q.values - ref) <= q.errors + 1e-12 * np.abs(ref)), cfg
-
-    def test_long_times_keep_the_levin_count(self, monkeypatch):
-        """tau2-frictional-zero at t = 1e3, 1e4: two positive times, so
-        refined panels without a modal split take _expm, and the Levin
-        systems are those of the eigen route."""
-        cfg = standard_suite()["tau2-frictional-zero"]
-        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
-        got = solution_norms_sq(cfg, datum, [1e3, 1e4], 0)
-        monkeypatch.setattr(fullline, "EXPM_MAX_TIMES", 0)
-        ref = solution_norms_sq(cfg, datum, [1e3, 1e4], 0)
-        assert got.eig < ref.eig == ref.nodes
-        assert (got.nodes, got.levin) == (ref.nodes, ref.levin)
-        np.testing.assert_allclose(got.values, ref.values, rtol=1e-12)
 
     def test_many_times_take_the_eigen_route(self):
         cfg = standard_suite()["tau1-type3-first"]
@@ -1029,33 +1066,55 @@ class TestExpmRoute:
         got = solution_norms_sq(cfg, datum, times, 0)
         assert got.eig == got.nodes
 
-    def test_skew_part_bounds_every_swing(self):
-        """What _expm_route's bound measures: 2 t_max |K|_2, K the skew part
-        at the panel's larger end, is at least twice the widest swing of
-        one branch's Im on the panel, times t_max.  Every eigenvalue has
-        |Im| <= |K|_2 there, and B is real, so sorted by Im, branches 0-3
-        keep Im <= 0 and branches 4-7 Im >= 0, and no branch swings by more
-        than |K|_2.  So at t_max just inside LEVIN_TURN / (2 |K|_2), which
-        the route takes, the eigen route's screen 2 swing t_max > LEVIN_TURN
-        fails on the panel's 33 nodes."""
-        rng = np.random.default_rng(26)
-        edges = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 25)))
-        lo, hi = edges[:-1], edges[1:]
+    @pytest.mark.parametrize("positive", [1, 2, fullline.EXPM_MAX_TIMES])
+    def test_reach_picks_the_rule(self, positive):
+        """n positive times with n c t_max just within EQUISPACED_MAX_REACH
+        take the equispaced rule, and just beyond it the ladder."""
+        cfg = standard_suite()["tau2-type3-first"]
+        datum = InitialDatum.component(V, Gaussian(1.0, 1.0))
+        t_max = fullline.EQUISPACED_MAX_REACH / (positive * fullline._speed(cfg))
+        for scale, on_rule in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            times = [0.0] + list(scale * t_max / np.arange(positive, 0, -1))
+            got = solution_norms_sq(cfg, datum, times, 0)
+            assert (got.eig == got.levin == 0) is on_rule, scale
+            assert got.eig == (0 if on_rule else got.nodes)
+
+    def test_speed_bounds_every_frequency_slope(self):
+        """_speed is |C1|_2 for the block C(xi) = C0 + xi C1 of the
+        energy-scaled generator that couples (v, z, phi, eta) to
+        (u, y, theta, sigma): C is affine in xi, and each singular value of
+        C(xi), an undamped frequency, moves by at most _speed |dxi|, on the
+        14 cells and covering_configs."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e2, 200)))
+        rng = np.random.default_rng(27)
         for cfg in [*standard_suite().values(), *covering_configs(rng, 1)]:
-            k = energy_generator_batch(cfg, edges)
-            reach = 0.5 * np.linalg.norm(k - k.transpose(0, 2, 1), 2, axis=(1, 2))
-            reach = np.maximum(reach[:-1], reach[1:])
-            for i in range(lo.size):
-                t_max = (1.0 - 2e-6) * fullline.LEVIN_TURN / (2.0 * reach[i])
-                times = np.array([0.0, t_max])
-                assert fullline._expm_route(cfg, times, lo[i:i + 1], hi[i:i + 1], [None])[0]
-                xi = lo[i] + 0.5 * (hi[i] - lo[i]) * (1.0 + fullline._CC_X[::4])
-                im = np.sort(np.linalg.eigvals(real_generator_batch(cfg, xi)).imag, axis=1)
-                assert np.abs(im).max() <= reach[i] * (1.0 + 1e-9), cfg
-                assert np.all(im[:, :4] <= 0.0) and np.all(im[:, 4:] >= 0.0), cfg
-                swing = np.ptp(im, axis=0)
-                assert np.all(swing <= reach[i] * (1.0 + 1e-9)), cfg
-                assert not 2.0 * swing.max() * t_max > fullline.LEVIN_TURN
+            c = model.energy_generator_batch(cfg, xi)[:, fullline._ODD[:, None], fullline._EVEN]
+            np.testing.assert_allclose(c, c[0] + xi[:, None, None] * (c[1] - c[0]) / xi[1],
+                                       rtol=1e-12, atol=1e-12 * np.abs(c).max())
+            sigma = np.linalg.svd(c, compute_uv=False)
+            slope = np.abs(np.diff(sigma, axis=0)) / np.diff(xi)[:, None]
+            assert slope.max() <= fullline._speed(cfg) * (1.0 + 1e-9), cfg
+
+    def test_integrand_is_even(self):
+        """The rule's premise: xi^{2j} |e^{B(xi)t} y0(xi)|^2, as the rule
+        evaluates it, takes the same value at -xi and xi to roundoff, on the
+        14 cells and covering_configs, for Gaussian data and their first and
+        second derivatives, at times up to 10."""
+        xi = np.linspace(0.05, 6.0, 24)
+        times = np.array([0.0, 0.3, 2.5, 10.0])
+        data = [InitialDatum.component(V, Gaussian(1.3, 0.9)),
+                InitialDatum.component(ETA, GaussianDerivative(1, 0.7, 1.4)),
+                InitialDatum.component(PHI, GaussianDerivative(2, -1.1, 0.8)),
+                _mixed_datum()]
+        rng = np.random.default_rng(28)
+        for cfg in [*standard_suite().values(), *covering_configs(rng, 1)]:
+            for datum in data:
+                f = [fullline._propagated_norms_sq(real_generator_batch(cfg, x),
+                                                   datum.fourier(x).T / real_similarity(cfg),
+                                                   times) * (x ** 4)[:, None]
+                     for x in (xi, -xi)]
+                np.testing.assert_allclose(f[1], f[0], rtol=0.0,
+                                           atol=1e-14 * np.abs(f[0]).max(), err_msg=str(cfg))
 
 
 class TestTailFit:
