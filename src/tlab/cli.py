@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,13 +40,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows: Sequence[Sequence[float]] | np.ndarray) -> None:
-    """One line per row, each value as _fmt writes it: the whole table is one
-    %-format over the flat tuple of its values (%g converts through float(),
-    as _fmt does)."""
-    table = np.asarray(rows, dtype=float)
+def _write_csv(path: Path, header: str,
+               blocks: Iterable[Sequence[Sequence[float]] | np.ndarray]) -> None:
+    """The header, then one line per row of each block of rows in turn, each
+    value as _fmt writes it.  Each block is one %-format over the flat tuple
+    of its values (%g converts through float(), as _fmt does), made as the
+    block arrives, so a generator of blocks can compute the next one
+    meanwhile; the file is written once, after the last block, so a block
+    that raises leaves no file."""
     row_fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    path.write_text(header + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist()))
+    text = [header + "\n"]
+    for block in blocks:
+        table = np.asarray(block, dtype=float)
+        text.append((row_fmt * len(table)) % tuple(table.ravel().tolist()))
+    path.write_text("".join(text))
 
 
 class VerificationFailure(RuntimeError):
@@ -94,7 +101,7 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
         raise FloatingPointError(
             f"energy dissipation at xi={xi}: the mode energy is not finite at "
             f"t={times[np.argmin(finite)]:.6g} (the propagation overflowed)")
-    _write_csv(out / "mode.csv", "t,norm,energy", np.column_stack([times, norms, energies]))
+    _write_csv(out / "mode.csv", "t,norm,energy", [np.column_stack([times, norms, energies])])
     monotone = bool(np.all(energies[1:] <= energies[:-1] * (1 + 1e-10)))
     summary = {"xi": xi, "initial_energy": float(energies[0]),
                "final_energy": float(energies[-1]), "energy_monotone": monotone}
@@ -116,12 +123,23 @@ def _cmd_simulate_mode(cfg: model.SystemConfig, args: argparse.Namespace,
 
 def _cmd_spectrum_scan(cfg: model.SystemConfig, args: argparse.Namespace,
                        out: Path) -> dict:
+    """Scan the spectrum over the xi grid.  spectrum.csv's rows are
+    formatted a block at a time, as dynamics.spectra_chunks streams them,
+    while the eigensolver's pool solves the next block."""
     grid = _xi_grid(args)
-    eigs = dynamics.spectra(cfg, grid)
-    pairs = np.stack([eigs.real, eigs.imag], axis=2).reshape(grid.size, -1)
-    abscissa = eigs.real.max(axis=1)
+    abscissa = np.empty(grid.size)
+
+    def blocks() -> Iterator[np.ndarray]:
+        lo = 0
+        for eigs in dynamics.spectra_chunks(cfg, grid):
+            hi = lo + len(eigs)
+            abscissa[lo:hi] = eigs.real.max(axis=1)
+            pairs = np.stack([eigs.real, eigs.imag], axis=2).reshape(hi - lo, -1)
+            yield np.column_stack([grid[lo:hi], pairs, abscissa[lo:hi]])
+            lo = hi
+
     header = "xi," + ",".join(f"re{i},im{i}" for i in range(1, 9)) + ",abscissa"
-    _write_csv(out / "spectrum.csv", header, np.column_stack([grid, pairs, abscissa]))
+    _write_csv(out / "spectrum.csv", header, blocks())
     worst = float(abscissa[grid != 0.0].max())
     summary = {"max_abscissa_nonzero_xi": worst,
                "stable_scan": bool(worst < 0.0),
@@ -199,7 +217,7 @@ def _cmd_decay(cfg: model.SystemConfig, args: argparse.Namespace, out: Path) -> 
     datum = _default_datum()
     report = fullline.verify_theorem_bound(cfg, datum, args.j, args.ell,
                                            times=times)
-    _write_csv(out / "decay.csv", "t,norm,envelope,ratio", report["rows"])
+    _write_csv(out / "decay.csv", "t,norm,envelope,ratio", [report["rows"]])
     summary = {
         "c0": report["c0"],
         "tail_slope": report["ratio_tail_slope"],

@@ -11,11 +11,12 @@ the tau = (1,0,0) case with k2 = k3.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +67,10 @@ def propagate(cfg: SystemConfig, xi: float, u0: np.ndarray,
 # 12 us and handing a chunk to the pool and back about 70 us (2-core host, one
 # BLAS thread): 16-matrix chunks already cut the stack's wall time by a quarter.
 EIG_CHUNK_MIN = 16
+# spectra_chunks streams a stack in up to SCAN_CHUNKS chunks, so its caller
+# checks, sorts and writes one chunk while the pool solves the next; only the
+# first chunk, which the caller solves itself, overlaps nothing.
+SCAN_CHUNKS = 8
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL: concurrent.futures.ThreadPoolExecutor | None = None   # built on first split
 _POOL_LOCK = threading.Lock()
@@ -88,31 +93,49 @@ def _pool() -> concurrent.futures.ThreadPoolExecutor:
         return _POOL
 
 
+def _chunk_count(n: int, most: int) -> int:
+    """Chunks for a stack of n matrices: at most `most`, each of at least
+    EIG_CHUNK_MIN matrices, and one where there is no second usable CPU."""
+    return max(1, min(most, n // EIG_CHUNK_MIN)) if _CPUS > 1 else 1
+
+
+def _eig_chunks(b: np.ndarray, chunks: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """np.linalg.eig of each of `chunks` contiguous pieces of the stack b
+    (np.array_split), yielded in order.
+
+    The caller's thread solves the first piece and the pool the others
+    (eig releases the GIL), so the caller can work on one piece while the
+    pool solves the next.  An error in any piece, or closing the generator
+    early, cancels the pieces not yet started and waits for the running
+    ones: no pool work outlives the generator.
+    """
+    first, *rest = np.array_split(b, chunks)
+    futures = [_pool().submit(_eig, c) for c in rest]
+    try:
+        yield _eig(first)
+        for f in futures:
+            yield f.result()
+    finally:
+        for f in futures:
+            f.cancel()
+        concurrent.futures.wait(futures)
+
+
 def eigen_batch(cfg: SystemConfig,
                 xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The package's one eigendecomposition: a stacked np.linalg.eig of the
-    energy-scaled generator Bt of model.energy_generator_batch, which has the
-    spectrum of A.  Returns Bt (n, 8, 8), the complex eigenvalues (n, 8) and
-    the eigenvectors as columns (n, 8, 8), unsorted.
+    """A stacked np.linalg.eig of the energy-scaled generator Bt of
+    model.energy_generator_batch, which has the spectrum of A.  Returns Bt
+    (n, 8, 8), the complex eigenvalues (n, 8) and the eigenvectors as
+    columns (n, 8, 8), unsorted.
 
-    A stack of at least EIG_CHUNK_MIN matrices per usable CPU is split into
-    one contiguous chunk per CPU, solved concurrently (eig releases the GIL)
-    and joined in order.  Each matrix is its own LAPACK call either way, so
-    the results do not depend on the number of CPUs.
+    The join of _eig_chunks: a stack of at least EIG_CHUNK_MIN matrices per
+    usable CPU is solved in one contiguous chunk per CPU.  Each matrix is its
+    own LAPACK call either way, so the results do not depend on the number
+    of CPUs.
     """
     b = energy_generator_batch(cfg, xi)
-    chunks = min(_CPUS, b.shape[0] // EIG_CHUNK_MIN)
-    if chunks < 2:
-        eigvals, eigvecs = _eig(b)
-    else:
-        first, *rest = np.array_split(b, chunks)
-        futures = [_pool().submit(_eig, c) for c in rest]
-        try:
-            parts = [_eig(first)]
-        finally:
-            concurrent.futures.wait(futures)
-        parts += [f.result() for f in futures]
-        eigvals, eigvecs = (np.concatenate(x) for x in zip(*parts))
+    parts = list(_eig_chunks(b, _chunk_count(b.shape[0], _CPUS)))
+    eigvals, eigvecs = parts[0] if len(parts) == 1 else (np.concatenate(x) for x in zip(*parts))
     return b, eigvals.astype(complex), eigvecs
 
 
@@ -137,27 +160,22 @@ def backward_ok(b: np.ndarray, eigvals: np.ndarray,
     return ok, vec_norm, b_frob
 
 
-def _eigenpairs(cfg: SystemConfig,
-                xi_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and neutral-mode mask at every grid frequency.
+def _eigenpairs(cfg: SystemConfig, grid: np.ndarray, b: np.ndarray, eigvals: np.ndarray,
+                eigvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and neutral-mode mask at the frequencies
+    `grid` of one chunk, from the pairs (eigvals, eigvecs) of its Bt stack b.
 
-    The pairs of eigen_batch, each of which must pass backward_ok, else
-    EigensolverError names the frequency.  Since Bt + Bt^T = -2 d E_eta,
-    each eigenpair (lam, v) satisfies Re lam = -d |v_eta|^2 / |v|^2
-    exactly; the real parts are taken from this identity, which is never
-    positive and keeps its relative accuracy where eig's real part does not.
-    A mode whose |v_eta| / |v| lies within the first-order eigenvector error
+    Each pair must pass backward_ok, else EigensolverError names the first
+    failing frequency.  Since Bt + Bt^T = -2 d E_eta, each eigenpair
+    (lam, v) satisfies Re lam = -d |v_eta|^2 / |v|^2 exactly; the real parts
+    are taken from this identity, which is never positive and keeps its
+    relative accuracy where eig's real part does not.  A mode whose
+    |v_eta| / |v| lies within the first-order eigenvector error
     8 eps |Bt|_F / gap (gap: the distance to the nearest other eigenvalue) is
     neutral, Re lam = 0; so is every mode where d = 0.  Returns the
     eigenvalues (n, 8), the eigenvectors v of Bt as columns (n, 8, 8) and the
     neutral mask (n, 8), unsorted.
     """
-    grid = np.asarray(xi_grid, dtype=float).reshape(-1)
-    if grid.size == 0:
-        raise ValueError("xi grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("xi grid has non-finite entries")
-    b, eigvals, eigvecs = eigen_batch(cfg, grid)
     ok, vec_norm, b_frob = backward_ok(b, eigvals, eigvecs)
     if not ok.all():
         i, j = np.argwhere(~ok)[0]
@@ -176,16 +194,50 @@ def _eigenpairs(cfg: SystemConfig,
     return eigvals, eigvecs, neutral
 
 
+def _eigenpair_chunks(cfg: SystemConfig, xi_grid: Sequence[float],
+                      most: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_eigenpairs of each chunk of the grid in turn, as _eig_chunks solves
+    it (at most `most` chunks, see _chunk_count), on the caller's thread.
+    Chunks run in grid order, so a failure names the frequency an unchunked
+    check would name.
+    """
+    grid = np.asarray(xi_grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise ValueError("xi grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("xi grid has non-finite entries")
+    b = energy_generator_batch(cfg, grid)
+    chunks = _chunk_count(grid.size, most)
+    with contextlib.closing(_eig_chunks(b, chunks)) as solved:
+        for g, bc, (w, v) in zip(np.array_split(grid, chunks), np.array_split(b, chunks), solved):
+            yield _eigenpairs(cfg, g, bc, w.astype(complex), v)
+
+
+def _spectra_chunks(cfg: SystemConfig, xi_grid: Sequence[float],
+                    most: int) -> Iterator[np.ndarray]:
+    with contextlib.closing(_eigenpair_chunks(cfg, xi_grid, most)) as chunks:
+        for eigvals, _, _ in chunks:
+            order = np.lexsort((eigvals.imag, np.abs(eigvals.imag), eigvals.real), axis=-1)
+            yield np.take_along_axis(eigvals, order, axis=-1)
+
+
 def spectra(cfg: SystemConfig, xi_grid: Sequence[float]) -> np.ndarray:
-    """Eigenvalues of A(xi) at every grid frequency, shape (n, 8), from _eigenpairs.
+    """Eigenvalues of A(xi) at every grid frequency, shape (n, 8), from
+    _eigenpairs, in eigen_batch's chunks.
 
     Each row is sorted by (Re, |Im|, Im): conjugate pairs have conjugate
     eigenvectors and so equal real parts, they stay adjacent where several
     neutral modes share Re = 0, and the negative imaginary part comes first.
     """
-    eigvals = _eigenpairs(cfg, xi_grid)[0]
-    order = np.lexsort((eigvals.imag, np.abs(eigvals.imag), eigvals.real), axis=-1)
-    return np.take_along_axis(eigvals, order, axis=-1)
+    return np.concatenate(list(_spectra_chunks(cfg, xi_grid, _CPUS)))
+
+
+def spectra_chunks(cfg: SystemConfig, xi_grid: Sequence[float]) -> Iterator[np.ndarray]:
+    """The rows of spectra, streamed in up to SCAN_CHUNKS contiguous blocks
+    in grid order: each block is checked and sorted as its chunk lands,
+    while the pool solves the next.  The blocks join to spectra's bytes.
+    """
+    return _spectra_chunks(cfg, xi_grid, SCAN_CHUNKS)
 
 
 def spectrum(cfg: SystemConfig, xi: float) -> SpectrumResult:
@@ -265,7 +317,8 @@ def nondecay_witness(cfg: SystemConfig, xi: float, t_final: float) -> dict:
     Im > 0 is neutral, i.e. when the configuration is not actually in the
     non-decaying case.
     """
-    eigvals, eigvecs, neutral = (x[0] for x in _eigenpairs(cfg, [xi]))
+    (pairs,) = _eigenpair_chunks(cfg, [xi], 1)
+    eigvals, eigvecs, neutral = (x[0] for x in pairs)
     up = np.flatnonzero(neutral & (eigvals.imag > 0))
     if not up.size:
         raise NoImaginaryEigenvalueError(

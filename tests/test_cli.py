@@ -476,24 +476,27 @@ class TestWriters:
             [5e-324, 1.7976931348623157e308, 3, -12],
             [np.float64(0.1), True, 2 ** 60 + 1, np.float64(-2.5e-300)],
         ]
-        path = tmp_path / "rows.csv"
-        cli._write_csv(path, "a,b,c,d", rows)
         want = ["a,b,c,d"] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-        assert path.read_text() == "\n".join(want) + "\n"
-        assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
+        for k, blocks in enumerate([[rows], [rows[:1], rows[1:]], [rows[:2], [], rows[2:]]]):
+            path = tmp_path / f"rows{k}.csv"
+            cli._write_csv(path, "a,b,c,d", iter(blocks))
+            assert path.read_text() == "\n".join(want) + "\n"
+            assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0"
 
     @pytest.mark.parametrize("subcommand,name", [
         ("spectrum-scan", "spectrum.csv"), ("simulate-mode", "mode.csv"), ("decay", "decay.csv"),
     ])
     def test_table_bytes_match_per_row_format(self, subcommand, name, stable_config, tmp_path,
                                               monkeypatch):
-        """The writer formats the whole table at once; its bytes are those of
-        one %-format per row, the writer it replaced."""
+        """The writer formats a block of rows at once; its bytes are those of
+        one %-format per row, the writer it replaced.  The recorder lists the
+        blocks, which may come from a generator, and joins their rows."""
         tables, write = [], cli._write_csv
 
-        def recorded(path, header, rows):
-            tables.append((header, rows))
-            write(path, header, rows)
+        def recorded(path, header, blocks):
+            blocks = list(blocks)
+            tables.append((header, [row for block in blocks for row in block]))
+            write(path, header, blocks)
 
         monkeypatch.setattr(cli, "_write_csv", recorded)
         assert main([subcommand, "--config", str(stable_config), "--out", str(tmp_path),

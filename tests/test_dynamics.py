@@ -8,7 +8,8 @@ import scipy.linalg
 import scipy.optimize
 
 import oracles
-from tlab import dynamics, fullline
+from tlab import cli, dynamics, fullline
+from tlab.cli import main
 from tlab.dynamics import (
     CaseMismatchError, EigensolverError, NoImaginaryEigenvalueError,
     characteristic_det_chi0, default_xi_grid, nondecay_witness, propagate,
@@ -16,7 +17,8 @@ from tlab.dynamics import (
 )
 from tlab.forms import V
 from tlab.model import (
-    Tau, assemble_generator, generator_batch, parse_config_text, real_generator_batch,
+    Tau, assemble_generator, config_text, generator_batch, parse_config_text,
+    real_generator_batch,
 )
 from tlab.suite import standard_suite, unstable_reference
 
@@ -306,9 +308,10 @@ def _split_cells() -> list:
 
 
 class TestSplitEigen:
-    """eigen_batch splits a large stack into one chunk per usable CPU; each
-    matrix stays its own LAPACK call, so every result is bitwise the
-    single call's."""
+    """eigen_batch splits a large stack into one chunk per usable CPU, and
+    spectra_chunks streams it in up to SCAN_CHUNKS chunks; each matrix
+    stays its own LAPACK call, so every result is bitwise the single
+    call's."""
 
     def _run(self, monkeypatch, cpus, floor, fn):
         with monkeypatch.context() as m:
@@ -408,3 +411,150 @@ class TestSplitEigen:
         assert not any(t.is_alive() for t in threads)
         assert built == [1]
         assert all(r is not None and r.tobytes() == want.tobytes() for r in results)
+
+    @pytest.mark.parametrize("flags, failing", [([], 0), (["--xi-min", "1e-4", "--xi-max", "1e4"], 10)],
+                             ids=["default", "wide"])
+    def test_scan_does_not_depend_on_the_chunking(self, flags, failing, tmp_path, monkeypatch,
+                                                  capsys):
+        """tlab spectrum-scan on the 14 cells and the unstable reference: the
+        artifacts, the exit code and stderr are the same on one CPU (one
+        chunk), on two (SCAN_CHUNKS chunks) and with every chunk cut to
+        EIG_CHUNK_MIN rows.  The wide grid fails the verdict on 10 cells."""
+        cells = {**standard_suite(), "unstable-reference": unstable_reference()}
+        sizes, check = [], dynamics._eigenpairs
+
+        def counted(cfg, grid, *pairs):
+            sizes.append(grid.size)
+            return check(cfg, grid, *pairs)
+
+        monkeypatch.setattr(dynamics, "_eigenpairs", counted)
+        runs = {name: [] for name in cells}
+        for variant, cpus, most in [("one", 1, dynamics.SCAN_CHUNKS),
+                                    ("two", 2, dynamics.SCAN_CHUNKS), ("min", 2, 10 ** 6)]:
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_CPUS", cpus)
+                m.setattr(dynamics, "SCAN_CHUNKS", most)
+                for name, cell in cells.items():
+                    config, out = tmp_path / f"{name}.cfg", tmp_path / variant / name
+                    config.write_text(config_text(cell))
+                    sizes.clear()
+                    code = main(["spectrum-scan", "--config", str(config), "--out", str(out),
+                                 *flags])
+                    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                    runs[name].append((code, capsys.readouterr().err, files))
+                    n = sum(sizes)
+                    want = {"one": 1, "two": dynamics.SCAN_CHUNKS,
+                            "min": n // dynamics.EIG_CHUNK_MIN}[variant]
+                    assert len(sizes) == want, (variant, name)
+                    assert min(sizes) >= dynamics.EIG_CHUNK_MIN or variant == "one"
+        for name, (first, *rest) in runs.items():
+            assert all(r == first for r in rest), name
+            assert set(first[2]) == {"spectrum.csv", "spectrum_summary.json"}, name
+        assert sum(first[0] == 1 for first, *_ in runs.values()) == failing
+        assert all(first[0] in (0, 1) for first, *_ in runs.values())
+
+    def test_failure_in_the_last_chunk(self, tmp_path, monkeypatch, capsys):
+        """backward_ok fails one row of the last streamed chunk: the error
+        names the xi of the unchunked run, spectrum-scan exits 3 and writes
+        no spectrum.csv, and no pool work is left behind."""
+        cell = standard_suite()["tau2-type3-first"]
+        grid = default_xi_grid()
+        bad = grid.size - 5
+        assert bad >= grid.size - grid.size // dynamics.SCAN_CHUNKS
+        target = dynamics.energy_generator_batch(cell, grid[bad:bad + 1])[0]
+        check = dynamics.backward_ok
+
+        def failing(b, eigvals, eigvecs):
+            ok, vec_norm, b_frob = check(b, eigvals, eigvecs)
+            ok[[i for i, m in enumerate(b) if np.array_equal(m, target)], 2] = False
+            return ok, vec_norm, b_frob
+
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text(cell))
+        monkeypatch.setattr(dynamics, "_CPUS", 2)
+        want = spectra(cell, grid)                     # builds the pool
+        before = threading.active_count()
+        messages, errs = [], []
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_CPUS", cpus)
+                m.setattr(dynamics, "backward_ok", failing)
+                with pytest.raises(EigensolverError) as err:
+                    list(dynamics.spectra_chunks(cell, grid))
+                messages.append(str(err.value))
+                out = tmp_path / str(cpus)
+                assert main(["spectrum-scan", "--config", str(config), "--out", str(out)]) == 3
+                errs.append(capsys.readouterr().err)
+                assert not (out / "spectrum.csv").exists()
+        assert messages[0] == messages[1] and f"at xi={grid[bad]}" in messages[0]
+        assert errs == [f"numerical failure: {messages[0]}\n"] * 2
+        assert np.concatenate(list(dynamics.spectra_chunks(cell, grid))).tobytes() == want.tobytes()
+        assert threading.active_count() == before
+
+    def test_closing_the_stream_cancels_unstarted_chunks(self, monkeypatch):
+        """A stream closed after its first block: the chunk the pool is
+        solving finishes, the chunks not yet started never run, and no
+        thread is left behind."""
+        cell = standard_suite()["tau1-type3-first"]
+        grid = default_xi_grid()
+        monkeypatch.setattr(dynamics, "_CPUS", 2)
+        want = spectra(cell, grid)
+        monkeypatch.setattr(dynamics, "_POOL", None)
+        pool = dynamics._pool()                        # one worker
+        caller, solve, wait = threading.current_thread(), dynamics._eig, dynamics.concurrent.futures.wait
+        entered, gate, pool_rows = threading.Event(), threading.Event(), []
+
+        def gated(b):
+            if threading.current_thread() is not caller:
+                pool_rows.append(b.shape[0])
+                entered.set()
+                gate.wait(60)
+            return solve(b)
+
+        def opening(futures, *args, **kwargs):
+            gate.set()                                 # the unstarted chunks are cancelled by now
+            return wait(futures, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_eig", gated)
+        monkeypatch.setattr(dynamics.concurrent.futures, "wait", opening)
+        before = threading.active_count()             # the pool starts its worker on a submit
+        try:
+            stream = dynamics.spectra_chunks(cell, grid)
+            first = next(stream)
+            assert entered.wait(60)
+            stream.close()
+            pool.submit(int).result(timeout=60)        # FIFO: a chunk left queued would run first
+            assert threading.active_count() == before + 1   # the new pool's one worker
+        finally:
+            gate.set()
+            pool.shutdown()
+        assert pool_rows == [np.array_split(grid, dynamics.SCAN_CHUNKS)[1].size]
+        assert first.tobytes() == want[:len(first)].tobytes()
+
+    def test_only_eig_runs_on_the_pool(self, tmp_path, monkeypatch):
+        """The pool's threads run _eig and nothing else: the backward check,
+        each chunk's post-processing and the CSV writer run on the caller's
+        thread, in a scan and in spectra."""
+        seen = {}
+
+        def recorded(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in [(dynamics, "_eig"), (dynamics, "backward_ok"),
+                            (dynamics, "_eigenpairs"), (cli, "_write_csv")]:
+            recorded(owner, name)
+        monkeypatch.setattr(dynamics, "_CPUS", 2)
+        cell = standard_suite()["tau3-type3-zero"]
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text(cell))
+        assert main(["spectrum-scan", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        spectra(cell, default_xi_grid())
+        caller = threading.current_thread()
+        assert {name: seen[name] for name in ("backward_ok", "_eigenpairs", "_write_csv")} == {
+            "backward_ok": {caller}, "_eigenpairs": {caller}, "_write_csv": {caller}}
+        assert seen["_eig"] - {caller}

@@ -228,8 +228,9 @@ class TestEnergy:
 
 
 def test_one_eig_call():
-    """dynamics.eigen_batch holds the package's only np.linalg.eig call: every
-    spectrum, the non-decay witness and the whole-line norms share it."""
+    """dynamics._eig holds the package's only np.linalg.eig call: every
+    spectrum, the non-decay witness and the whole-line norms reach it
+    through dynamics._eig_chunks."""
     calls = []
     for path in sorted(Path(model.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
