@@ -6,9 +6,10 @@ none: it runs over the standard suite and writes each cell's config.  Exit
 codes: 0 pass, 1 verification failure (a named criterion did not hold), 2
 usage or configuration error, 3 numerical failure (quadrature, eigensolver
 or certificate search could not reach its tolerance, a check's margin lies
-below roundoff, or a computed quantity is not finite, so no verdict was
-reached).  Outputs are deterministic: a fixed command line (config + flags +
-seed) yields byte-identical CSV/JSON artifacts.
+below roundoff, a computed quantity is not finite, or the non-decay witness
+of a configuration counted unstable finds no neutral mode, so no verdict
+was reached).  Outputs are deterministic: a fixed command line (config +
+flags + seed) yields byte-identical CSV/JSON artifacts.
 """
 
 from __future__ import annotations
@@ -348,7 +349,9 @@ def run(args: argparse.Namespace) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (fullline.QuadratureError, dynamics.EigensolverError,
+            dynamics.NoImaginaryEigenvalueError, np.linalg.LinAlgError,
             lyapunov.CertificateSearchError, RoundoffError, FloatingPointError) as exc:
+        # LinAlgError is a ValueError, so it is caught here, before the usage errors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (model.ConfigError, ValueError) as exc:

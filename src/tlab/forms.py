@@ -22,29 +22,31 @@ V, U, Z, Y, PHI, THETA, SIGMA, ETA = range(DIM)
 Term = Tuple[complex | np.ndarray, int, int]
 
 
+def _slot_sums(terms: Iterable[Term]) -> dict[tuple[int, int], complex | np.ndarray]:
+    """Per slot (i, j), the sum in term order of the halves the terms put there."""
+    slots: dict[tuple[int, int], complex | np.ndarray] = {}
+    for coeff, a, b in terms:
+        # Re(c s_a conj(s_b)) = s* (E_{ba} c/2 + E_{ab} conj(c)/2) s
+        for slot, half in (((b, a), 0.5 * coeff), ((a, b), 0.5 * np.conj(coeff))):
+            slots[slot] = slots[slot] + half if slot in slots else half
+    return slots
+
+
 def hermitian_from_terms(terms: Iterable[Term], shape: tuple[int, ...] = ()) -> np.ndarray:
     """Hermitian M with s* M s = sum of Re(c * s_a * conj(s_b)), a stack of shape
     `shape + (8, 8)` when the coefficients are arrays broadcasting to `shape`."""
     m = np.zeros(shape + (DIM, DIM), dtype=complex)
-    for coeff, a, b in terms:
-        # Re(c s_a conj(s_b)) = s* (E_{ba} c/2 + E_{ab} conj(c)/2) s
-        m[..., b, a] += 0.5 * coeff
-        m[..., a, b] += 0.5 * np.conj(coeff)
+    for (i, j), value in _slot_sums(terms).items():
+        m[..., i, j] += value
     return m
 
 
 def add_weighted_terms(m: np.ndarray, terms: Iterable[Term],
                        weight: float | np.ndarray) -> None:
     """m += weight * hermitian_from_terms(terms), in place, touching only the
-    slots the terms reach.  Each slot sums its halves in term order before
-    the weight multiplies, as the dense construction does, so a stack that
-    starts from zeros ends bitwise equal to the sum of the dense terms."""
-    slots: dict[tuple[int, int], complex | np.ndarray] = {}
-    for coeff, a, b in terms:
-        for slot, half in (((b, a), 0.5 * coeff), ((a, b), 0.5 * np.conj(coeff))):
-            slots[slot] = slots[slot] + half if slot in slots else half
+    slots the terms reach: each slot's sum, then the weight."""
     weight = np.asarray(weight)
-    for (i, j), value in slots.items():
+    for (i, j), value in _slot_sums(terms).items():
         m[..., i, j] += weight * value
 
 

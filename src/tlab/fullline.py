@@ -247,12 +247,15 @@ ACCEPT_REL = 1e-5          # final error estimate above this share of the value 
 NODE_BUDGET = 1_000_000    # frequency nodes per call; refinement stops here
 EIG_COND_MAX = 1e5         # above this 1-norm cond(Vt), a node is propagated by expm
 EIG_RESID_MAX = 1e-10      # ... and above this 1-norm residual |W Vt - I| per cond(Vt)
-# A node costs one eigendecomposition and its guards (about 20 us) on the eigen
-# path, or about 2 us per positive time through expm.  On 60 seeded short-time
-# norms (best of 5, measured when expm replaced the eigen path panel by panel)
-# expm took 0.54-0.77 of the eigen path's time at 3-6 positive times and
-# 0.90-0.91 at 7-8, a gain this host's noise does not resolve; with more
-# positive times than this, every norm takes the ladder
+# Each node of the equispaced rule costs an exponential per positive time, so
+# at a fixed reach n c t_max (below) the rule loses to the ladder as the number
+# n of positive times grows.  On the 14 cells, CLI datum, j = 0, times
+# [0] + geomspace(1, T, n) (summed best of 3, one BLAS thread, two runs) at
+# n c t_max = 1000 the rule took 0.76-0.87 of the ladder's time at n = 6,
+# 0.84-0.91 at n = 8, 1.19-1.24 at n = 12 and 1.19-1.24 at n = 16; at n = 31 it
+# was slower already at n c t_max = 250 (1.30-1.34).  The reach gate alone
+# does not keep such grids off the rule: with more positive times than this,
+# every norm takes the ladder
 EXPM_MAX_TIMES = 6
 # On such a grid the equispaced rule (_equispaced, its nodes through expm)
 # replaces the ladder while c t_max times the number n of positive times
@@ -583,26 +586,6 @@ def _split_terms(nodes: list[_Nodes], stride: np.ndarray, times: np.ndarray,
     return tuple(x[order] for x in terms)
 
 
-def _abs_rule(cand: np.ndarray, row: np.ndarray, stride: int) -> np.ndarray:
-    """The rule of the given stride over the nodes of |cand|, one sum per row:
-    cand holds the terms of several panels on their nodes, one term per
-    row, ordered by panel (row gives the panel's place).
-
-    BLAS sums a column of a matrix-vector product differently by its place
-    among the columns, so each panel's terms, transposed, go to a product of
-    the shape and layout they have alone: panels with as many terms share
-    one stacked product, and the sums are bitwise those of panels taken one
-    at a time."""
-    size = np.bincount(row)
-    first = np.cumsum(size) - size
-    out = np.empty(row.size)
-    for m in np.unique(size):
-        of = (first[size == m][:, None] + np.arange(m)).ravel()
-        block = np.abs(cand[of]).reshape(-1, m, cand.shape[1]).transpose(0, 2, 1)
-        out[of] = (_CC_W[stride] @ block).ravel()
-    return out
-
-
 def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
                     times: np.ndarray, tol: np.ndarray,
                     terms: tuple[np.ndarray, ...] | None = None
@@ -626,10 +609,11 @@ def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
     their candidate terms and masses, their light terms per (panel, time)
     and the lookup of their held results.  The new Levin systems of every
     node count then go to one stacked solve per Levin rule.  Each panel
-    keeps its own rule sums (_abs_rule for the masses) and each system its
-    own LAPACK call, so the grouping does not change the results.  Returns
-    the integrals, the estimates, the nodes with every Levin result they now
-    hold, and the number of Levin systems solved.
+    keeps its own rule sums, each term's mass is a sum along its own row (a
+    real exponential; only the terms sent to Levin take the complex one)
+    and each system its own LAPACK call, so the grouping does not change
+    the results.  Returns the integrals, the estimates, the nodes with every
+    Levin result they now hold, and the number of Levin systems solved.
     """
     count, nodes = len(nodes), list(nodes)
     terms = _split_terms(nodes, stride, times, terms)
@@ -641,12 +625,9 @@ def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
     used = []                   # (panel, pair, time index) of the terms on Levin
     fresh = []                  # the same for the terms not solved yet, with their time
     inputs = {4: [], 8: []}     # ... and their (s, ds, a) on the 33 and on the 17 Levin nodes
-    sums = []                   # per node count: its panels, integrals and estimates
-    strides = sorted(set(stride.tolist()))
-    for s in strides:
-        # most batches hold one node count, which a slice selects
-        members = range(count) if len(strides) == 1 else np.flatnonzero(stride == s)
-        group = slice(None) if len(strides) == 1 else members
+    vals, errs = np.empty((count, times.size)), np.empty((count, times.size))
+    for s in sorted(set(stride.tolist())):
+        members = np.flatnonzero(stride == s)
         f = np.array([nodes[i].f for i in members])
         hidden = None
         mine = np.flatnonzero(stride[terms[0]] == s) if terms[0].size else []
@@ -657,24 +638,27 @@ def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
             w = np.array([nodes[i].w for i in owners])
             amp = np.array([nodes[i].amp for i in owners])
             t = times[ti]
-            # one row per term, ordered by panel, as _abs_rule takes them
+            # one row per term: |2 a e^{ts}| = 2 |a| e^{t Re s} on its panel's nodes
             a = amp[row, :, pair] + np.where((dual >= 0)[:, None], amp[row, :, dual], 0.0)
-            cand = 2.0 * a * np.exp(t[:, None] * (w[row, :, k].conj() + w[row, :, l]))
+            decay = np.exp(t[:, None] * (w.real[row, :, k] + w.real[row, :, l]))
             masses = np.zeros((owners.size, _PAIR_K.size, times.size))
-            masses[row, pair, ti] = (2.0 * half[panel]) * _abs_rule(cand, row, s)
+            masses[row, pair, ti] = (4.0 * half[panel]) * np.sum(_CC_W[s] * np.abs(a) * decay,
+                                                                 axis=1)
             # per (panel, time), the lightest terms whose summed mass stays within
             # LEVIN_NEGLIGIBLE tol
             by_mass = np.argsort(masses, axis=1, kind="stable")
             light = np.empty(masses.shape, dtype=bool)
             np.put_along_axis(light, by_mass, np.take_along_axis(masses, by_mass, axis=1)
                               .cumsum(axis=1) <= LEVIN_NEGLIGIBLE * tol, axis=1)
-            hidden = np.zeros((len(members), times.size))
+            hidden = np.zeros((members.size, times.size))
             hidden[np.searchsorted(members, owners)] = np.where(light, masses, 0.0).sum(axis=1)
-            use = ~light[row, pair, ti]
-            np.subtract.at(f.transpose(0, 2, 1), (np.searchsorted(members, panel[use]), ti[use]),
-                           cand[use].real)
-            used.append((panel[use], pair[use], ti[use]))
-            new = use & np.isnan(held[panel, 0, pair, ti])
+            use = np.flatnonzero(~light[row, pair, ti])
+            panel, row, k, l, pair, ti, t, a = (x[use] for x in (panel, row, k, l, pair, ti, t, a))
+            # only the terms sent to Levin need their phase: they leave the rule
+            cand = 2.0 * a * np.exp(t[:, None] * (w[row, :, k].conj() + w[row, :, l]))
+            np.subtract.at(f.transpose(0, 2, 1), (np.searchsorted(members, panel), ti), cand.real)
+            used.append((panel, pair, ti))
+            new = np.isnan(held[panel, 0, pair, ti])
             fresh.append((panel[new], pair[new], ti[new], t[new]))
             if new.any():
                 row, k, l, a = row[new], k[new], l[new], a[new]
@@ -683,18 +667,11 @@ def _panel_integral(nodes: list[_Nodes], stride: np.ndarray, half: np.ndarray,
                     dw = _CC_D[r] @ ws
                     rule.append((ws[row, :, k].conj() + ws[row, :, l],
                                  dw[row, :, k].conj() + dw[row, :, l], a[:, ::r // s]))
-        h = half[group, None]
-        val = h * (_CC_W[s] @ f)
-        err = np.abs(val - h * (_CC_W[2 * s] @ f[:, ::2]))
+        h = half[members, None]
+        vals[members] = h * (_CC_W[s] @ f)
+        errs[members] = np.abs(vals[members] - h * (_CC_W[2 * s] @ f[:, ::2]))
         if hidden is not None:
-            err += hidden
-        sums.append((group, val, err))
-    if len(sums) == 1:
-        vals, errs = sums[0][1:]
-    else:
-        vals, errs = np.empty((count, times.size)), np.empty((count, times.size))
-        for group, val, err in sums:
-            vals[group], errs[group] = val, err
+            errs[members] += hidden
     if not used:
         return vals, errs, nodes, 0
     panel, pair, ti, t = (np.concatenate(x) for x in zip(*fresh))

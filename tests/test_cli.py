@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,6 +251,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: backward error")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damping", list(model.Damping))
+    @pytest.mark.parametrize("coupling", list(model.Coupling))
+    def test_report_tiny_chi_is_exit_three(self, damping, coupling, tmp_path, capsys):
+        """chi = 1e-13 lies within SPEED_REL_TOL max(k2, k3), so the config
+        counts as unstable, yet the non-decay witness finds no neutral mode
+        at xi = 1: no verdict, not a traceback."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config_text(replace(unstable_reference(), k3=1.0000000000001,
+                                           damping=damping, coupling=coupling)))
+        out = tmp_path / "o"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no neutral eigenvalue with Im > 0 at xi=1.0")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--config", "tiny-chi"],
+    ["certify", "--config", "cell", "--xi-max", "1e200"],
+    ["spectrum-scan", "--config", "cell", "--xi-max", "1e200"],
+    ["certify", "--config", "cell", "--xi-min", "1e-200"],
+    ["simulate-mode", "--config", "cell", "--xi", "1e200"],
+], ids=["report-tiny-chi", "certify-xi-max", "spectrum-scan-xi-max", "certify-xi-min",
+        "simulate-mode-xi"])
+def test_extreme_inputs_end_in_an_exit_code(argv, tmp_path, capsys):
+    """Extreme but accepted inputs end in an exit code and a one-line
+    stderr message, never an exception; each of these is a numerical
+    failure (exit 3).  At --xi-max 1e200 certify's eigvalsh raises
+    np.linalg.LinAlgError, a ValueError, which exited 2 as a usage error.
+    numpy's overflow warnings, which the command line prints, are recorded
+    here instead of raised."""
+    configs = {"tiny-chi": replace(unstable_reference(), k3=1.0000000000001),
+               "cell": standard_suite()["tau2-type3-zero"]}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text(configs[argv[2]]))
+    argv = argv[:2] + [str(cfg)] + argv[3:] + ["--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code = main(argv)   # an exception escaping here fails the test
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
 
 class TestArtifacts:

@@ -758,7 +758,10 @@ class TestLevin:
         np.linalg.solve per Levin rule; with every panel in a batch of its
         own, values, errors and counts are bitwise the same.  On the four
         cells of a long decay run, the mixed datum at j = 1 on
-        tau1-frictional-zero, and a short-grid triple, all on the ladder."""
+        tau1-frictional-zero, and a short-grid triple, all on the ladder.
+        Some stacked pass holds panels of one node count with different
+        numbers of candidate terms, so each term's mass must be its own row
+        sum whatever the other panels hold."""
         decay = InitialDatum.component(V, Gaussian(1.0, 1.0))
         short = InitialDatum(profiles=(Zero(), Gaussian(-1.832686, 1.064944), Zero(),
                                        GaussianDerivative(1, 1.42619, 1.600607), Zero(), Zero(),
@@ -781,10 +784,20 @@ class TestLevin:
                 solves.append(0)
                 yield batch
 
+        split_terms, mixed = fullline._split_terms, []
+
+        def spied(nodes, stride, times, terms):
+            found = split_terms(nodes, stride, times, terms)
+            counts = np.bincount(found[0], minlength=len(nodes))
+            mixed.append(any(np.unique(counts[(stride == s) & (counts > 0)]).size > 1
+                             for s in np.unique(stride)))
+            return found
+
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(fullline, "_batches", watched)
+        monkeypatch.setattr(fullline, "_split_terms", spied)
         stacked = [_ladder_norms_sq(*case) for case in cases]
-        assert max(solves) == 2 and max(sizes) > 1
+        assert max(solves) == 2 and max(sizes) > 1 and any(mixed)
         assert stacked[-1].eig > 0 and stacked[-1].levin > 0
         monkeypatch.setattr(fullline, "_batches", lambda *args: (
             batch[i:i + 1] for batch in batches(*args) for i in range(batch.size)))
